@@ -19,8 +19,9 @@
 //   --reactors     transport reactor shards (default 1); sockets hash across
 //                  shards by fd, each shard runs its own poller thread
 //   --max-seconds  optional self-termination for scripted runs
-//   --http-port    serve GET /metrics, /healthz, /incident, /journal on
-//                  127.0.0.1:P (0 = ephemeral, printed; omit for no HTTP)
+//   --http-port    serve GET /metrics, /healthz, /status, /journal,
+//                  /incident on 127.0.0.1:P (0 = ephemeral, printed; omit
+//                  for no HTTP). cosoft-stat reads this port.
 //   --stall-ms     watchdog stall deadline in ms (default 2000)
 //   --incident-dir directory for flight-recorder incident files (default .)
 //   --journal-dir  durable session journals live here; on boot every *.cosj
@@ -140,7 +141,8 @@ int main(int argc, char** argv) {
     server::Monitor monitor(manager, monitor_options);
     if (http_port >= 0) {
         if (monitor.http_port() != 0) {
-            std::printf("cosoftd: monitor http on 127.0.0.1:%u (/metrics /healthz /incident)\n",
+            std::printf("cosoftd: monitor http on 127.0.0.1:%u "
+                        "(/metrics /healthz /status /journal /incident)\n",
                         monitor.http_port());
         } else {
             std::fprintf(stderr, "cosoftd: http plane failed to bind: %s\n",

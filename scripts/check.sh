@@ -87,10 +87,10 @@ if [ -n "$OBS" ]; then
   echo "=== observability suite: ctest -L obs ==="
   ctest --test-dir build -L obs --output-on-failure --no-tests=ignore
   # Exposition-plane liveness: boot a real cosoftd on an ephemeral monitor
-  # port, then hit /metrics and /healthz over plain HTTP. Uses curl when the
-  # machine has it and falls back to cosoft-stat --http (our own client)
+  # port, then hit /metrics, /healthz and /status over plain HTTP. Uses curl
+  # when the machine has it and falls back to cosoft-stat (our own client)
   # otherwise, so the gate runs everywhere the build does.
-  echo "=== exposition plane: live cosoftd /metrics + /healthz ==="
+  echo "=== exposition plane: live cosoftd /metrics + /healthz + /status ==="
   OBS_LOG=$(mktemp)
   ./build/examples/cosoftd 0 --http-port 0 --max-seconds 15 > "$OBS_LOG" 2>&1 &
   OBS_PID=$!
@@ -106,21 +106,33 @@ if [ -n "$OBS" ]; then
   if command -v curl > /dev/null 2>&1; then
     METRICS=$(curl -fsS "http://$HTTP_ADDR/metrics")
     HEALTH=$(curl -fsS "http://$HTTP_ADDR/healthz")
+    STATUS=$(curl -fsS "http://$HTTP_ADDR/status")
   else
-    METRICS=$(./build/tools/cosoft-stat --http "$HTTP_ADDR" --raw)
+    METRICS=$(./build/tools/cosoft-stat "${HTTP_ADDR%:*}" "${HTTP_ADDR##*:}" --raw)
     HEALTH=$(printf '%s\n' "$METRICS" | grep -q '^cosoft_watchdog_healthy 1$' && echo ok)
   fi
+  # cosoft-stat itself: health line, session/connection tables, shard table.
+  STAT=$(./build/tools/cosoft-stat "${HTTP_ADDR%:*}" "${HTTP_ADDR##*:}")
+  STATUS=${STATUS:-$STAT}
   printf '%s\n' "$METRICS" | grep -q '^cosoft_build_info{' \
     || { echo "check.sh: /metrics is missing cosoft_build_info" >&2; exit 1; }
   printf '%s\n' "$METRICS" | grep -q '^# TYPE cosoft_watchdog_healthy gauge$' \
     || { echo "check.sh: /metrics is missing the watchdog family" >&2; exit 1; }
   printf '%s\n' "$HEALTH" | grep -q '^ok$' \
     || { echo "check.sh: /healthz did not answer ok (got: $HEALTH)" >&2; exit 1; }
+  printf '%s\n' "$STATUS" | grep -q '^-- sessions (' \
+    || { echo "check.sh: /status is missing the session table" >&2; exit 1; }
+  printf '%s\n' "$STATUS" | grep -q '^-- connections (' \
+    || { echo "check.sh: /status is missing the connection table" >&2; exit 1; }
+  for want in '^health: ok$' '^-- sessions (' '^-- connections (' '^-- reactor shards ('; do
+    printf '%s\n' "$STAT" | grep -q -- "$want" \
+      || { echo "check.sh: cosoft-stat output is missing '$want'" >&2; exit 1; }
+  done
   kill "$OBS_PID" 2>/dev/null || true
   wait "$OBS_PID" 2>/dev/null || true
   trap - EXIT
   rm -f "$OBS_LOG"
-  echo "exposition plane answered on $HTTP_ADDR: build_info + watchdog families present, healthz ok"
+  echo "exposition plane answered on $HTTP_ADDR: build_info + watchdog families present, healthz ok, status tables present"
   exit 0
 fi
 

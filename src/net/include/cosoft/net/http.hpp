@@ -5,8 +5,8 @@
 // through the transport reactor: the monitor plane must keep answering
 // /metrics and /healthz while the dispatch pipeline — the thing it monitors
 // — is wedged, so it shares nothing with the frame path but the Poller
-// abstraction itself. Scrapers (Prometheus, check.sh, cosoft-stat --http)
-// are few and short-lived; throughput is a non-goal, independence is the
+// abstraction itself. Scrapers (Prometheus, check.sh, cosoft-stat) are
+// few and short-lived; throughput is a non-goal, independence is the
 // goal.
 //
 // Request handling: read until the header terminator, parse the request
@@ -65,7 +65,7 @@ class HttpServer {
     std::uint16_t port_ = 0;
 };
 
-/// Blocking one-shot HTTP GET client (cosoft-stat --http, tests, check.sh's
+/// Blocking one-shot HTTP GET client (cosoft-stat, tests, check.sh's
 /// fallback scraper). Connects, sends `GET path HTTP/1.1`, reads to EOF.
 struct HttpResponse {
     int status = 0;

@@ -175,9 +175,9 @@ class Registry {
 
 /// Copies the hot-path accountant's process-wide totals (hot_path.hpp) into
 /// `registry` as cosoft_hotpath_allocs_total / cosoft_hotpath_bytes_total /
-/// cosoft_hotpath_blocking_waits_total. Called by the status-report builders
-/// right before they render the registry, so every StatusReport and
-/// cosoft-stat scrape carries current hot-path numbers. (A sync, not a live
+/// cosoft_hotpath_blocking_waits_total. Called by the /metrics exposition
+/// right before it renders the registry, so every scrape carries current
+/// hot-path numbers. (A sync, not a live
 /// instrument: the accountant lives in cosoft_common, which obs links, and
 /// its counters must stay plain atomics — they are bumped from inside
 /// operator new.)

@@ -19,7 +19,7 @@
 // recorder incident dump naming the culprit; recovery re-arms the source.
 //
 // The verdict (healthy + complaint list) backs GET /healthz, and
-// cosoft_watchdog_* metrics ride every /metrics scrape and StatusReport.
+// cosoft_watchdog_* metrics ride every /metrics scrape and incident dump.
 // The feeding cost is 2-3 relaxed stores per batch — no locks, no syscalls —
 // so sources stay armed in release builds.
 #pragma once

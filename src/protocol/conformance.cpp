@@ -56,9 +56,6 @@ std::vector<MessageRule> build_rules() {
     c2s(tag_of<FetchState>(), "FetchState");
     c2s(tag_of<SetCouplingMode>(), "SetCouplingMode");
     c2s(tag_of<SyncRequest>(), "SyncRequest");
-    // Monitoring clients (cosoft-stat) query without ever registering.
-    c2s(tag_of<StatusQuery>(), "StatusQuery", /*needs_registration=*/false);
-    s2c(tag_of<StatusReport>(), "StatusReport");
     s2c(tag_of<SyncBegin>(), "SyncBegin");
     s2c(tag_of<SyncState>(), "SyncState");
     s2c(tag_of<SyncStep>(), "SyncStep");
@@ -154,9 +151,8 @@ void ConformanceChecker::check_client_to_server(const Message& msg) {
     }
     // A synchronizing joiner is receive-only until SyncEnd promotes it: any
     // client frame racing the catch-up stream could observe half-applied
-    // state (monitoring StatusQuery excepted — it never registers).
-    if (sync_phase_ != SyncPhase::kNone && sync_phase_ != SyncPhase::kDone &&
-        !std::holds_alternative<StatusQuery>(msg)) {
+    // state.
+    if (sync_phase_ != SyncPhase::kNone && sync_phase_ != SyncPhase::kDone) {
         violation(dir, msg, "client frame during synchronization (before SyncEnd)");
         return;
     }
@@ -174,8 +170,6 @@ void ConformanceChecker::check_client_to_server(const Message& msg) {
         unregister_sent_ = true;
     } else if (const auto* m = std::get_if<RegistryQuery>(&msg)) {
         request(m->request, Expect::kRegistryReply);
-    } else if (const auto* m = std::get_if<StatusQuery>(&msg)) {
-        request(m->request, Expect::kStatusReport);
     } else if (const auto* m = std::get_if<FetchState>(&msg)) {
         request(m->request, Expect::kStateReply);
     } else if (const auto* m = std::get_if<CoupleReq>(&msg)) {
@@ -255,11 +249,6 @@ void ConformanceChecker::check_server_to_client(const Message& msg) {
         // Request 0 is the server's unsolicited notice slot (e.g. protocol
         // version mismatch before registration).
         if (m->request != 0) consume(dir, msg, m->request, Expect::kAck);
-        return;
-    }
-    if (const auto* m = std::get_if<StatusReport>(&msg)) {
-        // StatusReport answers monitoring clients that never register.
-        consume(dir, msg, m->request, Expect::kStatusReport);
         return;
     }
     if (!registered_) {

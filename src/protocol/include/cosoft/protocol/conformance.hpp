@@ -75,7 +75,7 @@ class ConformanceChecker {
 
   private:
     /// What kind of response an outstanding client request expects.
-    enum class Expect : std::uint8_t { kAck, kRegistryReply, kStateReply, kStatusReport };
+    enum class Expect : std::uint8_t { kAck, kRegistryReply, kStateReply };
     /// Lifecycle of one of the client's own floor-control actions.
     /// kRetired keeps the id in the table after deny/completion: client
     /// action counters are monotonic, so any reuse is a conformance bug.

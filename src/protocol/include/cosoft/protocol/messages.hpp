@@ -83,12 +83,14 @@ struct RegistrationRecord {
 
 /// Wire protocol version; the server refuses registrations from clients
 /// built against a different revision. v2 added session scoping: Register
-/// names the session to join, and status messages carry per-session rows.
+/// names the session to join.
 /// v3 added durable-session synchronization: RegisterAck announces whether a
 /// catch-up stream follows, and the SyncBegin/SyncState/SyncStep/SyncEnd
 /// family carries the session snapshot plus the compacted action tail to a
-/// late joiner before live delivery starts.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// late joiner before live delivery starts. v4 removed the wire status
+/// messages (the HTTP monitor serves that view), which moved the Sync*
+/// tags down by two; tags of journaled client frames are unchanged.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 struct Register {
     UserId user = kInvalidUser;
@@ -356,54 +358,6 @@ struct SyncRequest {
     friend bool operator==(const SyncRequest&, const SyncRequest&) = default;
 };
 
-// --- wire-level introspection --------------------------------------------------
-
-/// Per-connection view the server reports in a StatusReport: who is attached
-/// and what its channel's counters say right now.
-struct ConnectionStatus {
-    InstanceId instance = kInvalidInstance;
-    std::string user_name;
-    std::string app_name;
-    bool registered = false;
-    std::uint64_t frames_sent = 0;      ///< server -> this connection
-    std::uint64_t frames_received = 0;  ///< this connection -> server
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t backpressure_events = 0;
-    std::uint64_t send_queue_peak_bytes = 0;
-    std::uint64_t queued_frames = 0;  ///< outbound frames not yet on the wire
-    std::string session;              ///< session this connection is joined to ("" until registered)
-    friend bool operator==(const ConnectionStatus&, const ConnectionStatus&) = default;
-};
-
-/// Per-session rollup inside a StatusReport: one row per live coupling
-/// session hosted by the (sharded) server process.
-struct SessionStatus {
-    std::string name;  ///< "" is the default session
-    std::uint32_t connections = 0;
-    std::uint32_t registered = 0;   ///< connections past the Register handshake
-    std::uint64_t locks_held = 0;
-    std::uint64_t broadcasts = 0;   ///< events fanned out by this session
-    std::uint64_t couples = 0;      ///< live couple edges in the session's graph
-    friend bool operator==(const SessionStatus&, const SessionStatus&) = default;
-};
-
-/// Asks a live server for its metrics-registry snapshot. Allowed before
-/// registration so a pure monitoring client (tools/cosoft-stat) can attach,
-/// query, and leave without joining the session.
-struct StatusQuery {
-    ActionId request = 0;
-    friend bool operator==(const StatusQuery&, const StatusQuery&) = default;
-};
-
-struct StatusReport {
-    ActionId request = 0;
-    std::string metrics_text;  ///< the registry in Prometheus text exposition
-    std::vector<ConnectionStatus> connections;
-    std::vector<SessionStatus> sessions;  ///< per-session breakdown (sharded servers)
-    friend bool operator==(const StatusReport&, const StatusReport&) = default;
-};
-
 // --- late-joiner synchronization (durable sessions) ---------------------------
 //
 // Infinote-style catch-up: a member joining a session with prior history is
@@ -449,8 +403,8 @@ using Message = std::variant<Register, RegisterAck, Unregister, RegistryQuery, R
                              DecoupleReq, GroupUpdate, LockReq, LockGrant, LockDeny, LockNotify, EventMsg,
                              ExecuteEvent, ExecuteAck, CopyTo, CopyFrom, RemoteCopy, StateQuery, StateReply,
                              ApplyState, HistorySave, UndoReq, RedoReq, Command, CommandDeliver, PermissionSet,
-                             Ack, FetchState, SetCouplingMode, SyncRequest, StatusQuery, StatusReport,
-                             SyncBegin, SyncState, SyncStep, SyncEnd>;
+                             Ack, FetchState, SetCouplingMode, SyncRequest, SyncBegin, SyncState, SyncStep,
+                             SyncEnd>;
 
 /// Leading byte of the optional trace-context frame extension. Deliberately
 /// far above every variant index (and distinct from 0xFF, the canonical

@@ -218,35 +218,6 @@ struct Encoder {
         w.u64(m.request);
         encode(w, m.object);
     }
-    void operator()(const StatusQuery& m) { w.u64(m.request); }
-    void operator()(const StatusReport& m) {
-        w.u64(m.request);
-        w.str(m.metrics_text);
-        w.u32(static_cast<std::uint32_t>(m.connections.size()));
-        for (const ConnectionStatus& c : m.connections) {
-            w.u32(c.instance);
-            w.str(c.user_name);
-            w.str(c.app_name);
-            w.boolean(c.registered);
-            w.u64(c.frames_sent);
-            w.u64(c.frames_received);
-            w.u64(c.bytes_sent);
-            w.u64(c.bytes_received);
-            w.u64(c.backpressure_events);
-            w.u64(c.send_queue_peak_bytes);
-            w.u64(c.queued_frames);
-            w.str(c.session);
-        }
-        w.u32(static_cast<std::uint32_t>(m.sessions.size()));
-        for (const SessionStatus& s : m.sessions) {
-            w.str(s.name);
-            w.u32(s.connections);
-            w.u32(s.registered);
-            w.u64(s.locks_held);
-            w.u64(s.broadcasts);
-            w.u64(s.couples);
-        }
-    }
     void operator()(const SyncBegin& m) { w.u64(m.base_seq); }
     void operator()(const SyncState& m) { put(w, m.state); }
     void operator()(const SyncStep& m) {
@@ -618,49 +589,6 @@ Result<Message> decode_body(ByteReader& r) {
             msg = std::move(m);
             break;
         }
-        case tag_of<StatusQuery>(): {
-            StatusQuery m;
-            m.request = r.u64();
-            msg = m;
-            break;
-        }
-        case tag_of<StatusReport>(): {
-            StatusReport m;
-            m.request = r.u64();
-            m.metrics_text = r.str();
-            const std::uint32_t n = r.u32();
-            m.connections.reserve(std::min<std::uint32_t>(n, 4096));
-            for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-                ConnectionStatus c;
-                c.instance = r.u32();
-                c.user_name = r.str();
-                c.app_name = r.str();
-                c.registered = r.boolean();
-                c.frames_sent = r.u64();
-                c.frames_received = r.u64();
-                c.bytes_sent = r.u64();
-                c.bytes_received = r.u64();
-                c.backpressure_events = r.u64();
-                c.send_queue_peak_bytes = r.u64();
-                c.queued_frames = r.u64();
-                c.session = r.str();
-                m.connections.push_back(std::move(c));
-            }
-            const std::uint32_t ns = r.u32();
-            m.sessions.reserve(std::min<std::uint32_t>(ns, 4096));
-            for (std::uint32_t i = 0; i < ns && r.ok(); ++i) {
-                SessionStatus s;
-                s.name = r.str();
-                s.connections = r.u32();
-                s.registered = r.u32();
-                s.locks_held = r.u64();
-                s.broadcasts = r.u64();
-                s.couples = r.u64();
-                m.sessions.push_back(std::move(s));
-            }
-            msg = std::move(m);
-            break;
-        }
         case tag_of<SyncBegin>(): {
             SyncBegin m;
             m.base_seq = r.u64();
@@ -758,8 +686,6 @@ std::string_view message_name(const Message& msg) noexcept {
         std::string_view operator()(const FetchState&) { return "FetchState"; }
         std::string_view operator()(const SetCouplingMode&) { return "SetCouplingMode"; }
         std::string_view operator()(const SyncRequest&) { return "SyncRequest"; }
-        std::string_view operator()(const StatusQuery&) { return "StatusQuery"; }
-        std::string_view operator()(const StatusReport&) { return "StatusReport"; }
         std::string_view operator()(const SyncBegin&) { return "SyncBegin"; }
         std::string_view operator()(const SyncState&) { return "SyncState"; }
         std::string_view operator()(const SyncStep&) { return "SyncStep"; }

@@ -113,8 +113,8 @@ void CoSession::detach(InstanceId instance) {
     if (auto_pump_ && dispatch_depth_ == 0 && !replaying_ && persist_ != nullptr) pump();
 }
 
-protocol::SessionStatus CoSession::session_status() const {
-    protocol::SessionStatus s;
+SessionRow CoSession::session_status() const {
+    SessionRow s;
     s.name = name_;
     s.connections = static_cast<std::uint32_t>(conns_.size());
     s.registered = static_cast<std::uint32_t>(registered_count());
@@ -156,7 +156,6 @@ CO_HOT_PATH void CoSession::dispatch_frame(InstanceId from, const protocol::Fram
     auto decoded = decode_frame(frame);
     if (!decoded) {
         metrics_.malformed_frames.inc();
-        journal_.record(true, from, "<malformed>", frame.size());
         return;  // malformed frame: drop (transport is trusted, not journaled)
     }
 
@@ -164,17 +163,14 @@ CO_HOT_PATH void CoSession::dispatch_frame(InstanceId from, const protocol::Fram
     // The received context is the default causal parent for everything this
     // dispatch sends; handlers that open their own span override it.
     current_trace_ = decoded.value().trace;
-    journal_.record(true, from, std::string{message_name(msg)}, frame.size());
     const auto conn = conns_.find(from);
     if (conn == conns_.end()) {
         current_trace_ = {};
         return;
     }
 
-    // Everything except Register (and StatusQuery: monitoring clients never
-    // register) requires a completed registration.
-    if (!conn->second.registered && !std::holds_alternative<Register>(msg) &&
-        !std::holds_alternative<StatusQuery>(msg)) {
+    // Everything except Register requires a completed registration.
+    if (!conn->second.registered && !std::holds_alternative<Register>(msg)) {
         if (const auto* req = std::get_if<RegistryQuery>(&msg)) {
             ack(from, req->request, Status{ErrorCode::kUnknownInstance, "not registered"});
         }
@@ -185,9 +181,8 @@ CO_HOT_PATH void CoSession::dispatch_frame(InstanceId from, const protocol::Fram
     // Stage state-affecting frames for the durable journal (flushed off the
     // broadcast spine by pump()). Pure reads replay as no-ops, so they never
     // reach the file.
-    const bool stage = persist_ != nullptr && !replaying_ &&
-                       !std::holds_alternative<StatusQuery>(msg) &&
-                       !std::holds_alternative<RegistryQuery>(msg);
+    const bool stage =
+        persist_ != nullptr && !replaying_ && !std::holds_alternative<RegistryQuery>(msg);
     if (stage) {
         const std::span<const std::uint8_t> raw = frame.bytes();
         staged_.push_back(StagedRecord{SessionJournal::RecordType::kFrame, from,
@@ -197,24 +192,13 @@ CO_HOT_PATH void CoSession::dispatch_frame(InstanceId from, const protocol::Fram
     const bool was_journaled_dispatch = dispatching_journaled_frame_;
     dispatching_journaled_frame_ = stage || replaying_;
 
+    // The handle() overload set is the dispatch table: a handler declared in
+    // the header is reached without editing a type list. By-value handlers
+    // take the decoded message by move; server-to-client message types have
+    // no handler and are ignored.
     std::visit(
         [&](auto&& m) {
-            using T = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<T, Register> || std::is_same_v<T, EventMsg> ||
-                          std::is_same_v<T, CopyTo> || std::is_same_v<T, StateReply> ||
-                          std::is_same_v<T, HistorySave> || std::is_same_v<T, Command>) {
-                handle(from, std::move(m));
-            } else if constexpr (std::is_same_v<T, Unregister> || std::is_same_v<T, RegistryQuery> ||
-                                 std::is_same_v<T, CoupleReq> || std::is_same_v<T, DecoupleReq> ||
-                                 std::is_same_v<T, LockReq> || std::is_same_v<T, ExecuteAck> ||
-                                 std::is_same_v<T, CopyFrom> || std::is_same_v<T, RemoteCopy> ||
-                                 std::is_same_v<T, FetchState> || std::is_same_v<T, UndoReq> ||
-                                 std::is_same_v<T, RedoReq> || std::is_same_v<T, PermissionSet> ||
-                                 std::is_same_v<T, SetCouplingMode> || std::is_same_v<T, SyncRequest> ||
-                                 std::is_same_v<T, StatusQuery>) {
-                handle(from, m);
-            }
-            // Server-to-client message types arriving here are ignored.
+            if constexpr (requires { handle(from, std::move(m)); }) handle(from, std::move(m));
         },
         msg);
     dispatching_journaled_frame_ = was_journaled_dispatch;
@@ -334,7 +318,7 @@ std::vector<std::string> CoSession::check_invariants() const {
 
 void CoSession::send(InstanceId to, const Message& msg) {
     if (!conns_.contains(to)) return;
-    send_frame(to, encode_message(msg, current_trace_, arena_), message_name(msg));
+    send_frame(to, encode_message(msg, current_trace_, arena_));
 }
 
 CO_HOT_PATH void CoSession::broadcast(const std::vector<InstanceId>& recipients, const Message& msg) {
@@ -359,15 +343,14 @@ CO_HOT_PATH void CoSession::broadcast(const std::vector<InstanceId>& recipients,
     const Frame frame = encode_message(msg, current_trace_, arena_);
     metrics_.broadcast_encodes.inc();
     obs::FlightRecorder::instance().record(obs::EventKind::kBroadcast, live.size(), frame.size());
-    const std::string_view name = message_name(msg);
     for (const InstanceId to : live) {
         metrics_.frames_fanned_out.inc();
         ++conns_.at(to).broadcast_enqueued;
-        send_frame(to, frame, name);
+        send_frame(to, frame);
     }
 }
 
-CO_HOT_PATH void CoSession::send_frame(InstanceId to, const Frame& frame, std::string_view name) {
+CO_HOT_PATH void CoSession::send_frame(InstanceId to, const Frame& frame) {
     const auto it = conns_.find(to);
     if (it == conns_.end() || !it->second.channel->connected()) return;
     if (it->second.synchronizing) {
@@ -380,7 +363,6 @@ CO_HOT_PATH void CoSession::send_frame(InstanceId to, const Frame& frame, std::s
         return;
     }
     metrics_.messages_sent.inc();
-    journal_.record(false, to, std::string{name}, frame.size());
     (void)it->second.channel->send(frame);
     metrics_.send_queue_peak_frames.update_max(it->second.channel->outbound_queued_frames());
 }
@@ -413,7 +395,11 @@ bool CoSession::known_object_instance(const ObjectRef& ref) const {
 // --- session -----------------------------------------------------------------
 
 void CoSession::handle(InstanceId from, Register msg) {
-    if (msg.version != kProtocolVersion) {
+    // The version gate applies to live peers only: a recovered journal keeps
+    // the Register frames of the revision that wrote it, and the tags of the
+    // client frames it holds have not moved since v3. Refusing them on
+    // replay would leave every recovered member unregistered.
+    if (!replaying_ && msg.version != kProtocolVersion) {
         ack(from, 0,
             Status{ErrorCode::kBadMessage, "protocol version mismatch: client " + std::to_string(msg.version) +
                                                ", server " + std::to_string(kProtocolVersion)});
@@ -1013,43 +999,6 @@ void CoSession::handle(InstanceId from, const PermissionSet& msg) {
     }
     permissions_.set(msg.user, msg.object, rights, msg.allow);
     ack(from, msg.request, Status::ok());
-}
-
-// --- wire-level introspection -------------------------------------------------------
-
-void CoSession::handle(InstanceId from, const StatusQuery& msg) {
-    StatusReport report;
-    report.request = msg.request;
-    obs::export_hotpath_metrics(registry_);
-    report.metrics_text = registry_.prometheus_text();
-
-    std::vector<InstanceId> ids;
-    ids.reserve(conns_.size());
-    for (const auto& [id, conn] : conns_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    report.connections.reserve(ids.size());
-    for (const InstanceId id : ids) {
-        const Conn& conn = conns_.at(id);
-        const net::ChannelStats ch = conn.channel->stats();
-        ConnectionStatus cs;
-        cs.instance = id;
-        cs.user_name = conn.record.user_name;
-        cs.app_name = conn.record.app_name;
-        cs.registered = conn.registered;
-        // The server holds its end of each channel, so sent/received are
-        // from the server's point of view.
-        cs.frames_sent = ch.frames_sent;
-        cs.frames_received = ch.frames_received;
-        cs.bytes_sent = ch.bytes_sent;
-        cs.bytes_received = ch.bytes_received;
-        cs.backpressure_events = ch.backpressure_events;
-        cs.send_queue_peak_bytes = ch.send_queue_peak_bytes;
-        cs.queued_frames = conn.channel->outbound_queued_frames();
-        cs.session = name_;
-        report.connections.push_back(std::move(cs));
-    }
-    report.sessions.push_back(session_status());
-    send(from, report);
 }
 
 // --- durable sessions & late-joiner sync (ROADMAP item 1) ---------------------

@@ -45,7 +45,6 @@
 #include "cosoft/protocol/messages.hpp"
 #include "cosoft/server/couple_graph.hpp"
 #include "cosoft/server/history_store.hpp"
-#include "cosoft/server/journal.hpp"
 #include "cosoft/server/lock_table.hpp"
 #include "cosoft/server/permission_table.hpp"
 #include "cosoft/server/session_journal.hpp"
@@ -59,7 +58,7 @@ namespace cosoft::server {
 struct ServerStats {
     std::uint64_t messages_received = 0;
     std::uint64_t messages_sent = 0;
-    std::uint64_t malformed_frames = 0;   ///< frames that failed to decode (journaled, dropped)
+    std::uint64_t malformed_frames = 0;   ///< frames that failed to decode (counted, dropped)
     std::uint64_t events_broadcast = 0;   ///< re-execution orders fanned out (one per locked target)
     std::uint64_t locks_granted = 0;
     std::uint64_t locks_denied = 0;
@@ -71,6 +70,18 @@ struct ServerStats {
     std::uint64_t broadcast_encodes = 0;  ///< encode_message calls made by broadcast paths
     std::uint64_t frames_fanned_out = 0;  ///< connections a shared broadcast frame was enqueued to
     std::uint64_t send_queue_peak_frames = 0;  ///< max per-connection outbound depth seen at send time
+};
+
+/// One row of the session table GET /status serves: a live coupling session
+/// hosted by the server process.
+struct SessionRow {
+    std::string name;  ///< "" is the default session
+    std::uint32_t connections = 0;
+    std::uint32_t registered = 0;   ///< connections past the Register handshake
+    std::uint64_t locks_held = 0;
+    std::uint64_t broadcasts = 0;   ///< events fanned out by this session
+    std::uint64_t couples = 0;      ///< live couple edges in the session's graph
+    friend bool operator==(const SessionRow&, const SessionRow&) = default;
 };
 
 class CoSession {
@@ -111,8 +122,6 @@ class CoSession {
     /// per-stage latency histograms, in Prometheus-compatible naming.
     [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
     [[nodiscard]] const obs::Registry& registry() const noexcept { return registry_; }
-    [[nodiscard]] const Journal& journal() const noexcept { return journal_; }
-    [[nodiscard]] Journal& journal() noexcept { return journal_; }
 
     // --- durable sessions & late-joiner sync (ROADMAP item 1) ---------------
     //
@@ -180,8 +189,8 @@ class CoSession {
         for (const auto& [id, conn] : conns_) n += conn.registered ? 1 : 0;
         return n;
     }
-    /// One StatusReport row summarizing this session (cosoft-stat topology).
-    [[nodiscard]] protocol::SessionStatus session_status() const;
+    /// One status row summarizing this session (GET /status, cosoft-stat).
+    [[nodiscard]] SessionRow session_status() const;
     [[nodiscard]] std::size_t pending_action_count() const noexcept { return pending_actions_.size(); }
     /// Outbound frames accepted but not yet on the wire for one connection
     /// (0 for unknown instances and synchronous transports).
@@ -193,8 +202,7 @@ class CoSession {
     /// Canonical serialization of the entire server state (all four §2.1
     /// databases, connections, in-flight actions/copies, and the counters
     /// that drive future behaviour). Independent of hash-map iteration
-    /// order; the journal is excluded (diagnostics, ring-buffered). Used by
-    /// cosoft-mc to hash states for interleaving pruning.
+    /// order. Used by cosoft-mc to hash states for interleaving pruning.
     void fingerprint(ByteWriter& w) const;
 
     /// Cross-database invariants (§2.1): the lock table, couple graph, and
@@ -275,7 +283,6 @@ class CoSession {
     void handle(InstanceId from, const protocol::RedoReq& msg);
     void handle(InstanceId from, protocol::Command msg);
     void handle(InstanceId from, const protocol::PermissionSet& msg);
-    void handle(InstanceId from, const protocol::StatusQuery& msg);
 
     void cleanup(InstanceId instance);
     void send(InstanceId to, const protocol::Message& msg);
@@ -283,8 +290,8 @@ class CoSession {
     /// same refcounted Frame to every recipient connection.
     void broadcast(const std::vector<InstanceId>& recipients, const protocol::Message& msg);
     /// Enqueues an already-encoded frame (shared, never copied) to one
-    /// connection, with journaling and queue-depth accounting.
-    void send_frame(InstanceId to, const protocol::Frame& frame, std::string_view name);
+    /// connection, with send and queue-depth accounting.
+    void send_frame(InstanceId to, const protocol::Frame& frame);
     void ack(InstanceId to, protocol::ActionId request, const Status& status);
     /// Broadcasts the group membership to every instance owning a member.
     void broadcast_group(const std::vector<ObjectRef>& group);
@@ -388,7 +395,6 @@ class CoSession {
     CO_STRAND_CONFINED Arena arena_;
     /// broadcast_enqueued totals of connections that have since detached.
     std::uint64_t departed_broadcast_enqueued_ = 0;
-    Journal journal_;
 
     // --- durable journal + sync state (all strand-confined) ------------------
     /// A journal record captured during dispatch, flushed to disk by pump().

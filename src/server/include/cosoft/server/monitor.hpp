@@ -12,6 +12,8 @@
 //       GET /healthz   200 "ok" | 503 + watchdog complaints
 //       GET /incident  dump-and-fetch: triggers a flight-recorder dump and
 //                      returns the JSONL incident file
+//       GET /status    session and connection tables (plain text)
+//       GET /journal   durable session-journal tails (plain text)
 //       GET /          endpoint index
 //
 // Lifetime: the Monitor must outlive no one — the manager and (shared)

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,6 +39,7 @@
 
 #include "cosoft/common/error.hpp"
 #include "cosoft/common/ring_queue.hpp"
+#include "cosoft/common/thread_annotations.hpp"
 
 namespace cosoft::server {
 
@@ -178,8 +178,10 @@ class SessionJournal {
     Recovered recovered_;
     JournalFaults faults_;
 
-    mutable std::mutex tail_mu_;
-    RingQueue<TailEntry> tail_cache_;
+    /// Leaf lock: the /journal reader takes it under the manager mutex
+    /// (server.SessionManager.mu -> server.SessionJournal.tail_mu).
+    mutable co::Mutex tail_mu_{"server.SessionJournal.tail_mu"};
+    RingQueue<TailEntry> tail_cache_ CO_GUARDED_BY(tail_mu_);
 };
 
 }  // namespace cosoft::server

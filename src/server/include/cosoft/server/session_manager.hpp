@@ -32,7 +32,7 @@
 //        │                  route_frame: append inbox, schedule strand
 //        ▼
 //   worker pool (W threads) ──▶ one strand at a time: decode + CoSession
-//        │                      dispatch, session create/GC, status
+//        │                      dispatch, session create/GC, status rows
 //        ▼
 //   accept thread (embedder) ──▶ attach() only
 //
@@ -88,6 +88,32 @@ struct SessionManagerOptions {
     bool sync_late_joiners = false;
 };
 
+/// One row of the connection table GET /status serves: who is attached and
+/// what its channel's counters say right now. Sent/received are from the
+/// server's point of view (it holds its end of each channel).
+struct ConnectionRow {
+    InstanceId instance = kInvalidInstance;
+    std::string user_name;
+    std::string app_name;
+    bool registered = false;
+    std::uint64_t frames_sent = 0;
+    std::uint64_t frames_received = 0;
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t bytes_received = 0;
+    std::uint64_t backpressure_events = 0;
+    std::uint64_t send_queue_peak_bytes = 0;
+    std::uint64_t queued_frames = 0;  ///< outbound frames not yet on the wire
+    std::string session;              ///< joined session ("" until registered)
+    friend bool operator==(const ConnectionRow&, const ConnectionRow&) = default;
+};
+
+/// The whole-process topology: one row per session (by name), one per live
+/// connection (by instance id).
+struct ServerStatus {
+    std::vector<SessionRow> sessions;
+    std::vector<ConnectionRow> connections;
+};
+
 class SessionManager {
   public:
     explicit SessionManager(SessionManagerOptions options = {});
@@ -119,9 +145,11 @@ class SessionManager {
     [[nodiscard]] std::size_t session_count() const;
     [[nodiscard]] std::size_t connection_count() const;  ///< lobby + all sessions
     [[nodiscard]] std::size_t worker_count() const noexcept { return workers_.size(); }
-    /// Per-session rollups (cached snapshots refreshed at dispatch
-    /// boundaries; safe to call from any thread).
-    [[nodiscard]] std::vector<protocol::SessionStatus> session_statuses() const;
+    /// Session and connection tables (GET /status). Session rows are the
+    /// snapshots refreshed at dispatch boundaries and channel counters are
+    /// atomics, so this takes mu_ briefly and never waits on a dispatch
+    /// strand; safe to call from any thread.
+    [[nodiscard]] ServerStatus status() const;
     /// The manager's own registry (cosoft_server_sessions_* instruments).
     [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
     /// The manager's transport reactor when it owns one (nullptr otherwise).
@@ -188,7 +216,7 @@ class SessionManager {
         /// session whose adopt token is still queued cannot be collected).
         std::size_t live_conns = 0;
         bool pinned = false;
-        protocol::SessionStatus status;  ///< snapshot refreshed after dispatch
+        SessionRow status;  ///< snapshot refreshed after dispatch
         /// Watchdog progress source (nullptr when no watchdog is attached).
         /// Owned by the watchdog; this strand only feeds it.
         obs::Watchdog::Source* progress = nullptr;
@@ -219,8 +247,8 @@ class SessionManager {
     /// destructors run outside mu_.
     void process_token(MutexLock& lock, Strand* strand, InstanceId id,
                        std::vector<std::shared_ptr<net::Channel>>& graveyard) CO_REQUIRES(mu_);
-    /// Lobby dispatch of one frame: Register routes, status/registry queries
-    /// are answered, everything else is dropped (unregistered traffic).
+    /// Lobby dispatch of one frame: Register routes, a registry query is
+    /// refused, everything else is dropped (unregistered traffic).
     void lobby_dispatch(MutexLock& lock, InstanceId id, protocol::Frame frame) CO_REQUIRES(mu_);
     Strand* find_or_create_session(MutexLock& lock, const std::string& name) CO_REQUIRES(mu_);
     /// Moves a lobby connection into `session_name` (created on demand).
@@ -233,10 +261,6 @@ class SessionManager {
     /// Checked-build subset of check_invariants() safe while traffic flows
     /// (the reactor comparison is one-sided: accepts may be in flight).
     void check_running_invariants(MutexLock& lock) const CO_REQUIRES(mu_);
-    /// Global (lobby) StatusReport: manager metrics, all connections, all
-    /// session rollups.
-    [[nodiscard]] protocol::StatusReport global_status(std::uint64_t request) const
-        CO_REQUIRES(mu_);
     void refresh_status(Strand* strand) CO_REQUIRES(mu_);
     void worker_loop();
 
@@ -280,7 +304,7 @@ class SessionManager {
         obs::Counter& lobby_rejects;
     };
     // mutable: instruments are observability, not logical state — the const
-    // status snapshot still syncs the hot-path totals into them.
+    // exposition still syncs the hot-path totals into them.
     mutable obs::Registry registry_;
     Metrics metrics_{registry_};
 };

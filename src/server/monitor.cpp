@@ -1,5 +1,6 @@
 #include "cosoft/server/monitor.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -106,6 +107,50 @@ net::HttpServer::Response Monitor::handle(const net::HttpServer::Request& reques
         response.body = std::move(body);
         return response;
     }
+    if (request.path == "/status") {
+        // Session and connection tables. Built from the per-strand snapshots
+        // and atomic channel counters under the manager mutex only — never
+        // waits on a dispatch strand.
+        const ServerStatus status = manager_.status();
+        std::string body;
+        char line[256];
+        std::snprintf(line, sizeof line, "-- sessions (%zu) --\n", status.sessions.size());
+        body += line;
+        std::snprintf(line, sizeof line, "%-20s %5s %5s %7s %12s %8s\n", "session", "conns", "reg",
+                      "locks", "broadcasts", "couples");
+        body += line;
+        for (const SessionRow& s : status.sessions) {
+            std::snprintf(line, sizeof line, "%-20s %5u %5u %7llu %12llu %8llu\n",
+                          s.name.empty() ? "(default)" : s.name.c_str(), s.connections, s.registered,
+                          static_cast<unsigned long long>(s.locks_held),
+                          static_cast<unsigned long long>(s.broadcasts),
+                          static_cast<unsigned long long>(s.couples));
+            body += line;
+        }
+        std::snprintf(line, sizeof line, "\n-- connections (%zu) --\n", status.connections.size());
+        body += line;
+        std::snprintf(line, sizeof line, "%-9s %-12s %-16s %-12s %-4s %10s %10s %12s %12s %6s %10s %7s\n",
+                      "instance", "user", "app", "session", "reg", "fr_sent", "fr_recv", "bytes_sent",
+                      "bytes_recv", "bkpr", "peak_bytes", "queued");
+        body += line;
+        for (const ConnectionRow& c : status.connections) {
+            std::snprintf(line, sizeof line,
+                          "%-9u %-12s %-16s %-12s %-4s %10llu %10llu %12llu %12llu %6llu %10llu %7llu\n",
+                          c.instance, c.user_name.empty() ? "-" : c.user_name.c_str(),
+                          c.app_name.empty() ? "-" : c.app_name.c_str(),
+                          c.registered ? (c.session.empty() ? "(default)" : c.session.c_str()) : "-",
+                          c.registered ? "yes" : "no", static_cast<unsigned long long>(c.frames_sent),
+                          static_cast<unsigned long long>(c.frames_received),
+                          static_cast<unsigned long long>(c.bytes_sent),
+                          static_cast<unsigned long long>(c.bytes_received),
+                          static_cast<unsigned long long>(c.backpressure_events),
+                          static_cast<unsigned long long>(c.send_queue_peak_bytes),
+                          static_cast<unsigned long long>(c.queued_frames));
+            body += line;
+        }
+        response.body = std::move(body);
+        return response;
+    }
     if (request.path == "/journal") {
         // Recent durable-journal records per session (seq, record type,
         // origin instance, decoded message name, bytes on disk). Served from
@@ -144,6 +189,7 @@ net::HttpServer::Response Monitor::handle(const net::HttpServer::Request& reques
             "  /metrics   Prometheus exposition\n"
             "  /healthz   watchdog verdict (200 ok | 503 + complaints)\n"
             "  /incident  flight-recorder dump-and-fetch (JSONL)\n"
+            "  /status    session and connection tables\n"
             "  /journal   durable session-journal tails (seq, type, message)\n";
         return response;
     }

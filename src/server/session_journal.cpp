@@ -425,7 +425,7 @@ Status SessionJournal::compact(std::span<const std::uint8_t> snapshot_image) {
 
 void SessionJournal::note_tail(std::uint64_t seq, RecordType type, std::uint32_t origin,
                                std::string_view name, std::size_t bytes) {
-    const std::lock_guard<std::mutex> lock(tail_mu_);
+    const MutexLock lock(tail_mu_);
     while (tail_cache_.size() >= options_.tail_capacity && !tail_cache_.empty()) {
         tail_cache_.pop_front();
     }
@@ -433,7 +433,7 @@ void SessionJournal::note_tail(std::uint64_t seq, RecordType type, std::uint32_t
 }
 
 std::vector<SessionJournal::TailEntry> SessionJournal::tail() const {
-    const std::lock_guard<std::mutex> lock(tail_mu_);
+    const MutexLock lock(tail_mu_);
     std::vector<TailEntry> out;
     out.reserve(tail_cache_.size());
     for (std::size_t i = 0; i < tail_cache_.size(); ++i) out.push_back(tail_cache_[i]);

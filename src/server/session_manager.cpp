@@ -171,13 +171,40 @@ SessionManager::journal_tails() const {
     return out;
 }
 
-std::vector<protocol::SessionStatus> SessionManager::session_statuses() const {
+ServerStatus SessionManager::status() const {
     const MutexLock lock(mu_);
-    std::vector<protocol::SessionStatus> out;
-    out.reserve(sessions_.size());
-    for (const auto& [name, strand] : sessions_) out.push_back(strand->status);
-    std::sort(out.begin(), out.end(),
-              [](const protocol::SessionStatus& a, const protocol::SessionStatus& b) { return a.name < b.name; });
+    ServerStatus out;
+    out.sessions.reserve(sessions_.size());
+    for (const auto& [name, strand] : sessions_) out.sessions.push_back(strand->status);
+    std::sort(out.sessions.begin(), out.sessions.end(),
+              [](const SessionRow& a, const SessionRow& b) { return a.name < b.name; });
+    out.connections.reserve(conns_.size());
+    for (const auto& [id, conn] : conns_) {
+        // depart() nulls conn.channel (into the graveyard) and drops mu_
+        // around session->detach() before erasing the conn, so a departing
+        // entry can be observed here with no channel to snapshot.
+        if (conn.departed || conn.channel == nullptr) continue;
+        // Channel counters are lock-free atomics: safe to snapshot while the
+        // connection's session strand runs on another worker.
+        const net::ChannelStats st = conn.channel->stats();
+        const bool joined = conn.strand != &lobby_;
+        out.connections.push_back(ConnectionRow{
+            .instance = id,
+            .user_name = conn.user_name,
+            .app_name = conn.app_name,
+            .registered = joined,
+            .frames_sent = st.frames_sent,
+            .frames_received = st.frames_received,
+            .bytes_sent = st.bytes_sent,
+            .bytes_received = st.bytes_received,
+            .backpressure_events = st.backpressure_events,
+            .send_queue_peak_bytes = st.send_queue_peak_bytes,
+            .queued_frames = conn.channel->outbound_queued_frames(),
+            .session = joined ? conn.strand->session->name() : std::string{},
+        });
+    }
+    std::sort(out.connections.begin(), out.connections.end(),
+              [](const ConnectionRow& a, const ConnectionRow& b) { return a.instance < b.instance; });
     return out;
 }
 
@@ -418,17 +445,6 @@ void SessionManager::lobby_dispatch(MutexLock& lock, InstanceId id, Frame frame)
         route_to_session(lock, id, reg->session);
         return;
     }
-    if (const auto* query = std::get_if<protocol::StatusQuery>(&msg)) {
-        // Monitoring clients never register: the lobby answers with the
-        // whole-process view (manager metrics, every connection, one rollup
-        // row per session).
-        Frame reply = protocol::encode_message(Message{global_status(query->request)});
-        auto channel = conns_.at(id).channel;
-        lock.unlock();
-        (void)channel->send(std::move(reply));
-        lock.lock();
-        return;
-    }
     if (const auto* query = std::get_if<protocol::RegistryQuery>(&msg)) {
         // Same reply an unregistered connection historically got from the
         // single-session server's registration gate.
@@ -526,43 +542,6 @@ void SessionManager::collect_if_empty(MutexLock& lock, Strand* strand) {
     sessions_.erase(it);
     metrics_.sessions_destroyed.inc();
     metrics_.sessions_active.set(sessions_.size());
-}
-
-protocol::StatusReport SessionManager::global_status(std::uint64_t request) const {
-    protocol::StatusReport report;
-    report.request = request;
-    report.metrics_text = metrics_exposition();
-    for (const auto& [id, conn] : conns_) {
-        // depart() nulls conn.channel (into the graveyard) and drops mu_
-        // around session->detach() before erasing the conn, so a departing
-        // entry can be observed here with no channel to snapshot.
-        if (conn.departed || conn.channel == nullptr) continue;
-        protocol::ConnectionStatus cs;
-        cs.instance = id;
-        cs.user_name = conn.user_name;
-        cs.app_name = conn.app_name;
-        cs.registered = conn.strand != &lobby_;
-        // Channel counters are lock-free atomics: safe to snapshot while the
-        // connection's session strand runs on another worker.
-        const net::ChannelStats st = conn.channel->stats();
-        cs.frames_sent = st.frames_sent;
-        cs.frames_received = st.frames_received;
-        cs.bytes_sent = st.bytes_sent;
-        cs.bytes_received = st.bytes_received;
-        cs.backpressure_events = st.backpressure_events;
-        cs.send_queue_peak_bytes = st.send_queue_peak_bytes;
-        cs.queued_frames = conn.channel->outbound_queued_frames();
-        if (conn.strand != &lobby_) cs.session = conn.strand->session->name();
-        report.connections.push_back(std::move(cs));
-    }
-    std::sort(report.connections.begin(), report.connections.end(),
-              [](const protocol::ConnectionStatus& a, const protocol::ConnectionStatus& b) {
-                  return a.instance < b.instance;
-              });
-    for (const auto& [name, strand] : sessions_) report.sessions.push_back(strand->status);
-    std::sort(report.sessions.begin(), report.sessions.end(),
-              [](const protocol::SessionStatus& a, const protocol::SessionStatus& b) { return a.name < b.name; });
-    return report;
 }
 
 void SessionManager::set_watchdog(std::shared_ptr<obs::Watchdog> watchdog) {

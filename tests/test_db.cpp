@@ -68,20 +68,26 @@ TEST_P(CompareOpTest, MatchesExpectedRowCount) {
     EXPECT_EQ(r.value().rows.size(), c.expected) << to_string(c.op) << " " << c.operand;
 }
 
+// Static storage, so the padding after `op` is zero: gtest prints an OpCase
+// byte for byte into each ctest name, and padding copied from stack
+// temporaries made those names change from build to build.
+constexpr OpCase kOpCases[] = {
+    {CompareOp::kEquals, "author", "Zhao", 1},
+    {CompareOp::kNotEquals, "author", "Zhao", 3},
+    {CompareOp::kSubstring, "title", "i", 3},  // "Groupware Issues" has no lowercase i
+    {CompareOp::kSubstring, "title", "WYSIWIS", 1},
+    {CompareOp::kPrefix, "author", "H", 1},
+    {CompareOp::kLikeOneOf, "author", "Zhao, Hoppe", 2},
+    {CompareOp::kLikeOneOf, "author", "Nobody,Zhao", 1},
+    {CompareOp::kLess, "year", "1990", 1},
+    {CompareOp::kLessEq, "year", "1990", 2},
+    {CompareOp::kGreater, "year", "1990", 2},
+    {CompareOp::kGreaterEq, "year", "1990", 3},
+    {CompareOp::kEquals, "year", "1994", 1},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Operators, CompareOpTest,
-    ::testing::Values(OpCase{CompareOp::kEquals, "author", "Zhao", 1},
-                      OpCase{CompareOp::kNotEquals, "author", "Zhao", 3},
-                      OpCase{CompareOp::kSubstring, "title", "i", 3},  // "Groupware Issues" has no lowercase i
-                      OpCase{CompareOp::kSubstring, "title", "WYSIWIS", 1},
-                      OpCase{CompareOp::kPrefix, "author", "H", 1},
-                      OpCase{CompareOp::kLikeOneOf, "author", "Zhao, Hoppe", 2},
-                      OpCase{CompareOp::kLikeOneOf, "author", "Nobody,Zhao", 1},
-                      OpCase{CompareOp::kLess, "year", "1990", 1},
-                      OpCase{CompareOp::kLessEq, "year", "1990", 2},
-                      OpCase{CompareOp::kGreater, "year", "1990", 2},
-                      OpCase{CompareOp::kGreaterEq, "year", "1990", 3},
-                      OpCase{CompareOp::kEquals, "year", "1994", 1}),
+    Operators, CompareOpTest, ::testing::ValuesIn(kOpCases),
     [](const ::testing::TestParamInfo<OpCase>& info) {
         std::string name{to_string(info.param.op)};
         for (char& c : name) {

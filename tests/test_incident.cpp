@@ -23,6 +23,7 @@
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/net/http.hpp"
 #include "cosoft/net/reactor.hpp"
+#include "cosoft/net/sim_network.hpp"
 #include "cosoft/net/tcp.hpp"
 #include "cosoft/obs/flight_recorder.hpp"
 #include "cosoft/obs/metrics.hpp"
@@ -30,6 +31,7 @@
 #include "cosoft/protocol/messages.hpp"
 #include "cosoft/server/monitor.hpp"
 #include "cosoft/server/session_manager.hpp"
+#include "helpers.hpp"
 
 namespace cosoft {
 namespace {
@@ -281,6 +283,7 @@ TEST(HttpPlane, ServesHandlerRoutesAndCloses) {
 
 TEST(MonitorPlane, RoutesEndpointsAgainstALiveManager) {
     FlightRecorder::instance().clear();
+    net::SimNetwork net;
     SessionManager manager;  // inline dispatch: no threads needed for routing
     MonitorOptions options;
     options.enable_http = false;
@@ -308,7 +311,23 @@ TEST(MonitorPlane, RoutesEndpointsAgainstALiveManager) {
     // The embedded context is the same exposition /metrics serves.
     EXPECT_NE(incident.body.find("cosoft_build_info"), std::string::npos);
 
-    EXPECT_EQ(monitor.handle({"GET", "/"}).status, 200);
+    // /status: one member registered into "room" shows up in both tables.
+    auto [client_end, server_end] = net.make_pipe();
+    manager.attach(server_end);
+    CoApp app{"editor", "alice", 1};
+    app.connect(client_end, "room");
+    net.run_all();
+    ASSERT_TRUE(app.online());
+    const auto status = monitor.handle({"GET", "/status"});
+    EXPECT_EQ(status.status, 200);
+    EXPECT_EQ(status.body.rfind("-- sessions (1) --\n", 0), 0u) << status.body;
+    EXPECT_NE(status.body.find("\nroom "), std::string::npos) << status.body;
+    EXPECT_NE(status.body.find("-- connections (1) --\n"), std::string::npos) << status.body;
+    EXPECT_NE(status.body.find(" alice "), std::string::npos) << status.body;
+
+    const auto index = monitor.handle({"GET", "/"});
+    EXPECT_EQ(index.status, 200);
+    EXPECT_NE(index.body.find("/status"), std::string::npos);
     EXPECT_EQ(monitor.handle({"GET", "/nope"}).status, 404);
 }
 
@@ -327,6 +346,9 @@ TEST(MonitorE2E, StalledStrandFlipsHealthzWhileMetricsKeepServing) {
     // a blocking call looks like to the watchdog.
     std::atomic<bool> hold{true};
     std::atomic<bool> stalled{false};
+    // Declared after the manager, so it runs first on unwinding: a failing
+    // ASSERT below must not leave ~SessionManager joining a wedged worker.
+    const testing::ScopeExit release([&] { hold.store(false); });
     manager.debug_set_dispatch_hook([&](const std::string& session) {
         if (session != "victim") return;
         stalled.store(true);
@@ -375,9 +397,12 @@ TEST(MonitorE2E, StalledStrandFlipsHealthzWhileMetricsKeepServing) {
     EXPECT_NE(metrics.value().body.find("cosoft_watchdog_healthy 0"), std::string::npos);
 
     // The trip produced an incident file naming the stalled strand, and its
-    // timeline replays deterministically.
+    // timeline replays deterministically. The watchdog publishes its verdict
+    // before it writes the dump, so /healthz can flip first.
+    const std::string& dir = monitor_options.incident_dir;
+    ASSERT_TRUE(wait_until(
+        [&] { return FlightRecorder::instance().last_dump_path().rfind(dir, 0) == 0; }, 3000));
     const std::string path = FlightRecorder::instance().last_dump_path();
-    ASSERT_FALSE(path.empty());
     Incident incident;
     std::string error;
     ASSERT_TRUE(obs::load_incident(path, incident, error)) << error;
@@ -430,11 +455,15 @@ TEST(MonitorE2E, WedgedReactorShardNamesTheShard) {
             wedged.store(true);
             while (hold.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
         });
+        // Declared after the channels, so it runs before they close: a
+        // failing ASSERT below must not leave the shard thread wedged.
+        const testing::ScopeExit release([&] { hold.store(false); });
         accepted.value()->enable_reactor_delivery();
 
+        // Any frame wakes the handler; its content is irrelevant.
         ASSERT_TRUE(client.value()
                         ->send(protocol::encode_message(
-                            protocol::Message{protocol::StatusQuery{1}}))
+                            protocol::Message{protocol::RegistryQuery{1}}))
                         .is_ok());
         ASSERT_TRUE(wait_until([&] { return wedged.load(); }, 3000));
         ASSERT_TRUE(wait_until(

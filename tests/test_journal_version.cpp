@@ -1,115 +1,56 @@
-// Tests for the server's message journal and the protocol version handshake.
+// Tests for the server's traffic counters and the protocol version handshake.
 #include <gtest/gtest.h>
 
-#include "cosoft/server/journal.hpp"
 #include "helpers.hpp"
 
 namespace cosoft {
 namespace {
 
 using client::CoApp;
-using server::Journal;
 using testing::Session;
 using toolkit::EventType;
 using toolkit::WidgetClass;
 
-TEST(Journal, RecordsBounded) {
-    Journal j{3};
-    for (int i = 0; i < 10; ++i) j.record(true, 1, "M" + std::to_string(i), 8);
-    EXPECT_EQ(j.size(), 3u);
-    EXPECT_EQ(j.total_recorded(), 10u);
-    const auto entries = j.entries();
-    EXPECT_EQ(entries.front().message, "M7");  // oldest survivor
-    EXPECT_EQ(entries.back().message, "M9");
-    EXPECT_EQ(entries.back().seq, 9u);
-}
-
-TEST(Journal, FiltersByPeerAndResizes) {
-    Journal j{10};
-    j.record(true, 1, "A", 1);
-    j.record(false, 2, "B", 2);
-    j.record(true, 1, "C", 3);
-    EXPECT_EQ(j.entries_for(1).size(), 2u);
-    EXPECT_EQ(j.entries_for(2).size(), 1u);
-    j.set_capacity(1);
-    EXPECT_EQ(j.size(), 1u);
-    j.set_capacity(0);  // disable
-    j.record(true, 1, "D", 4);
-    EXPECT_EQ(j.size(), 0u);
-}
-
-// Regression (PR 10): shrinking the ring to zero and growing it back must
-// keep total_recorded() honest and sequence numbers strictly increasing —
-// records made while disabled are counted (and evicted), never renumbered.
-TEST(Journal, ShrinkToZeroThenRegrowKeepsSequenceHonest) {
-    Journal j{4};
-    j.record(true, 1, "A", 1);
-    j.record(true, 1, "B", 1);
-    EXPECT_EQ(j.total_recorded(), 2u);
-
-    j.set_capacity(0);  // disable retention
-    j.record(true, 1, "C", 1);
-    j.record(true, 1, "D", 1);
-    EXPECT_EQ(j.size(), 0u);
-    EXPECT_EQ(j.total_recorded(), 4u) << "disabled records still count";
-
-    j.set_capacity(2);  // re-grow
-    EXPECT_EQ(j.size(), 0u) << "re-growing must not resurrect evicted entries";
-    j.record(true, 1, "E", 1);
-    const auto entries = j.entries();
-    ASSERT_EQ(entries.size(), 1u);
-    // The post-regrow record continues the global sequence: C and D consumed
-    // seqs 2 and 3 even though the ring was disabled.
-    EXPECT_EQ(entries.front().seq, 4u);
-    EXPECT_EQ(entries.front().message, "E");
-    EXPECT_EQ(j.total_recorded(), 5u);
-
-    // Shrink below current size evicts oldest-first, never reorders.
-    j.record(true, 2, "F", 1);
-    j.set_capacity(1);
-    ASSERT_EQ(j.size(), 1u);
-    EXPECT_EQ(j.entries().front().message, "F");
-    EXPECT_EQ(j.entries().front().seq, 5u);
-}
-
-TEST(Journal, ServerTracesASessionEndToEnd) {
+// One coupled emit between two partners (§3.2), observed through the
+// server's counters: the couple, the lock cycle and the re-execution each
+// leave exactly their own trace.
+TEST(ServerStats, CountsASessionEndToEnd) {
     Session s;
     CoApp& a = s.add_app("A", "alice", 1);
     CoApp& b = s.add_app("B", "bob", 2);
     (void)a.ui().root().add_child(WidgetClass::kTextField, "f");
     (void)b.ui().root().add_child(WidgetClass::kTextField, "f");
 
-    s.server().journal().clear();
+    const server::ServerStats before = s.server().stats();
     a.couple("f", b.ref("f"));
     s.run();
+    const server::ServerStats coupled = s.server().stats();
+    EXPECT_EQ(coupled.messages_received - before.messages_received, 1u);  // CoupleReq
+    EXPECT_EQ(coupled.group_updates - before.group_updates, 2u);          // one per member instance
+
     a.emit("f", a.ui().find("f")->make_event(EventType::kValueChanged, std::string{"x"}));
     s.run();
-
-    const auto entries = s.server().journal().entries();
-    const auto count = [&](const char* name, bool inbound) {
-        return std::count_if(entries.begin(), entries.end(), [&](const server::JournalEntry& e) {
-            return e.message == name && e.inbound == inbound;
-        });
-    };
-    EXPECT_EQ(count("CoupleReq", true), 1);
-    EXPECT_EQ(count("GroupUpdate", false), 2);  // one per member instance
-    EXPECT_EQ(count("LockReq", true), 1);
-    EXPECT_EQ(count("LockGrant", false), 1);
-    EXPECT_EQ(count("EventMsg", true), 1);
-    EXPECT_EQ(count("ExecuteEvent", false), 1);
-    EXPECT_EQ(count("ExecuteAck", true), 2);  // source + target
-    for (const auto& e : entries) EXPECT_GT(e.bytes, 0u);
+    const server::ServerStats after = s.server().stats();
+    EXPECT_EQ(after.locks_granted - coupled.locks_granted, 1u);
+    EXPECT_EQ(after.locks_denied, before.locks_denied);
+    EXPECT_EQ(after.events_broadcast - coupled.events_broadcast, 1u);  // one ExecuteEvent
+    // LockReq + EventMsg + one ExecuteAck from the source and one from the target.
+    EXPECT_EQ(after.messages_received - coupled.messages_received, 4u);
+    EXPECT_GT(after.messages_sent, coupled.messages_sent);
+    EXPECT_EQ(after.malformed_frames, 0u);
+    EXPECT_EQ(s.server().locks().locked_count(), 0u) << "the cycle must release its lock";
 }
 
-TEST(Journal, MalformedFramesAreJournalled) {
+TEST(ServerStats, MalformedFramesAreCounted) {
     Session s;
     auto [raw_client, raw_server] = s.net().make_pipe();
     s.server().attach(raw_server);
     ASSERT_TRUE(raw_client->send(std::vector<std::uint8_t>{0xff, 0xff, 0xff}).is_ok());
     s.run();
-    const auto entries = s.server().journal().entries();
-    EXPECT_TRUE(std::any_of(entries.begin(), entries.end(),
-                            [](const server::JournalEntry& e) { return e.message == "<malformed>"; }));
+    const server::ServerStats stats = s.server().stats();
+    EXPECT_EQ(stats.malformed_frames, 1u);
+    EXPECT_EQ(stats.messages_received, 1u);
+    EXPECT_EQ(stats.messages_sent, 0u) << "a malformed frame is dropped without a reply";
 }
 
 TEST(ProtocolVersion, MismatchedClientIsRefused) {

@@ -19,6 +19,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -355,7 +357,7 @@ TEST(StrandConfinement, CoSessionEntryPointsEnforceConfinement) {
     const InstanceId id = session.attach(server_end);  // binds to this bare thread
 
     const protocol::Frame query = protocol::encode_message(
-        protocol::Message{protocol::StatusQuery{1}});
+        protocol::Message{protocol::RegistryQuery{1}});
     session.deliver(id, query);
     net.run_all();
     EXPECT_TRUE(capture.reports().empty());
@@ -427,17 +429,24 @@ TEST(LockOrderRegression, TcpSendQueueReconfigurationRacesSendAndClose) {
 
 TEST(LockOrderRegression, SessionManagerWorkloadIsCycleFree) {
     // Drives the full production stack — SessionManager workers, a private
-    // reactor, TcpChannels, the obs registry — while a monitor hammers the
-    // lobby's global_status() path (the depart() <-> global_status() nesting
-    // was the prime inversion suspect). Any cycle in the discipline fires the
-    // detector; the capturing handler turns that into a test failure with
-    // the full report instead of an abort.
+    // reactor, TcpChannels, journaled sessions, the obs registry — while a
+    // reader hammers the two operator read paths, status() and
+    // journal_tails() (the depart() <-> status-walk nesting was the prime
+    // inversion suspect; the journal tail lock nests under the manager
+    // mutex). Any cycle in the discipline fires the detector; the capturing
+    // handler turns that into a test failure with the full report instead of
+    // an abort.
     CaptureLockOrder capture;
+    char dir_template[] = "/tmp/cosoft_lockorder_XXXXXX";
+    const char* journal_dir = ::mkdtemp(dir_template);
+    ASSERT_NE(journal_dir, nullptr);
     {
         auto reactor = net::Reactor::create();
         server::SessionManagerOptions options;
         options.workers = 2;
         options.reactor = reactor;
+        options.journal_dir = journal_dir;
+        options.journal_fsync = server::FsyncPolicy::kNever;
         server::SessionManager mgr(options);
 
         net::ListenOptions listen_options;
@@ -468,22 +477,27 @@ TEST(LockOrderRegression, SessionManagerWorkloadIsCycleFree) {
         }
         ASSERT_TRUE(alice.online() && bob.online());
 
-        // Status queries walk the manager's tables while traffic flows.
+        // Status reads walk the manager's tables while traffic flows.
         for (int i = 0; i < 50; ++i) {
-            (void)mgr.session_statuses();
+            (void)mgr.status();
+            (void)mgr.journal_tails();
             for (auto& ch : pump) ch->poll();
             std::this_thread::sleep_for(100us);
         }
         mgr.quiesce();
         EXPECT_TRUE(mgr.check_invariants().empty());
-        // Departures + status queries: the historical inversion pairing.
+        EXPECT_FALSE(mgr.journal_tails().empty()) << "session red was not journaled";
+        // Departures + status reads: the historical inversion pairing.
         pump.front()->close();
         for (int i = 0; i < 50; ++i) {
-            (void)mgr.session_statuses();
+            (void)mgr.status();
+            (void)mgr.journal_tails();
             std::this_thread::sleep_for(100us);
         }
         mgr.quiesce();
     }
+    std::error_code ec;
+    std::filesystem::remove_all(journal_dir, ec);
     EXPECT_TRUE(capture.reports().empty()) << capture.reports().front();
     if (thread_checked_build()) {
         // The detector was live: the workload recorded real edges.

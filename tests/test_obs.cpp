@@ -268,35 +268,5 @@ TEST(ScopedTimer, RecordsOneObservation) {
     EXPECT_GE(h.sum(), 0.0);
 }
 
-TEST(Introspection, StatusQueryReturnsRegistrySnapshotWithoutRegistering) {
-    // A monitoring client never registers: attach a raw pipe, ask, get the
-    // server's Prometheus text plus one row per live connection.
-    net::SimNetwork net;
-    server::CoServer server;
-    auto [monitor, server_end] = net.make_pipe();
-    server.attach(server_end);
-
-    protocol::StatusReport report;
-    bool got_report = false;
-    monitor->on_receive([&](const protocol::Frame& frame) {
-        auto decoded = protocol::decode_message(frame);
-        ASSERT_TRUE(decoded.is_ok());
-        if (auto* r = std::get_if<protocol::StatusReport>(&decoded.value())) {
-            report = std::move(*r);
-            got_report = true;
-        }
-    });
-    ASSERT_TRUE(monitor->send(protocol::encode_message(protocol::Message{protocol::StatusQuery{7}})).is_ok());
-    net.run_all();
-
-    ASSERT_TRUE(got_report);
-    EXPECT_EQ(report.request, 7u);
-    EXPECT_NE(report.metrics_text.find("cosoft_server_messages_received_total 1"), std::string::npos);
-    EXPECT_NE(report.metrics_text.find("cosoft_server_frames_fanned_out_total"), std::string::npos);
-    ASSERT_EQ(report.connections.size(), 1u);
-    EXPECT_FALSE(report.connections[0].registered);
-    EXPECT_EQ(report.connections[0].frames_received, 1u);  // the query itself
-}
-
 }  // namespace
 }  // namespace cosoft::obs

@@ -184,35 +184,15 @@ Message random_message(std::size_t index, sim::Rng& rng) {
         case 28: return FetchState{rng.next(), random_ref(rng)};
         case 29: return SetCouplingMode{rng.next(), random_ref(rng), rng.chance(0.5)};
         case 30: return SyncRequest{rng.next(), random_ref(rng)};
-        case 31: return StatusQuery{rng.next()};
-        case 32: {
-            StatusReport report{rng.next(), random_name(rng), {}, {}};
-            const std::uint64_t n = rng.below(4);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                report.connections.push_back(ConnectionStatus{
-                    static_cast<InstanceId>(rng.below(1000)), random_name(rng), random_name(rng),
-                    rng.chance(0.5), rng.below(1 << 20), rng.below(1 << 20), rng.below(1 << 20),
-                    rng.below(1 << 20), rng.below(100), rng.below(1 << 20), rng.below(100),
-                    random_name(rng)});
-            }
-            const std::uint64_t ns = rng.below(4);
-            for (std::uint64_t i = 0; i < ns; ++i) {
-                report.sessions.push_back(SessionStatus{
-                    random_name(rng), static_cast<std::uint32_t>(rng.below(64)),
-                    static_cast<std::uint32_t>(rng.below(64)), rng.below(1 << 10),
-                    rng.below(1 << 20), rng.below(1 << 10)});
-            }
-            return report;
-        }
-        case 33: return SyncBegin{rng.next()};
-        case 34: return SyncState{random_bytes(rng)};
-        case 35: return SyncStep{rng.next(), static_cast<InstanceId>(rng.below(1000)), random_bytes(rng)};
-        case 36: return SyncEnd{rng.next()};
+        case 31: return SyncBegin{rng.next()};
+        case 32: return SyncState{random_bytes(rng)};
+        case 33: return SyncStep{rng.next(), static_cast<InstanceId>(rng.below(1000)), random_bytes(rng)};
+        case 34: return SyncEnd{rng.next()};
         default: return Unregister{};
     }
 }
 
-static_assert(std::variant_size_v<Message> == 37,
+static_assert(std::variant_size_v<Message> == 35,
               "a Message alternative was added or removed: extend random_message() to cover it");
 
 class EveryMessageRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};

@@ -61,11 +61,6 @@ std::vector<Message> all_samples() {
         FetchState{22, {3, "exercise"}},
         SetCouplingMode{23, {1, "pad"}, true},
         SyncRequest{24, {1, "pad"}},
-        StatusQuery{25},
-        StatusReport{25,
-                     "# TYPE cosoft_server_messages_received_total counter\n",
-                     {{1, "alice", "tori", true, 10, 9, 1200, 900, 0, 256, 2},
-                      {2, "", "", false, 1, 1, 8, 8, 0, 0, 0}}},
         SyncBegin{41},
         SyncState{{0x01, 0x02, 0x03}},
         SyncStep{42, 3, {0xca, 0xfe}},
@@ -84,7 +79,8 @@ TEST_P(MessageRoundTrip, EncodeDecodePreservesEverything) {
     EXPECT_EQ(message_name(decoded.value()), message_name(original));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTypes, MessageRoundTrip, ::testing::Range<std::size_t>(0, 37),
+INSTANTIATE_TEST_SUITE_P(AllTypes, MessageRoundTrip,
+                         ::testing::Range<std::size_t>(0, std::variant_size_v<Message>),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                              return std::string{message_name(all_samples()[info.param])};
                          });

@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "cosoft/common/bytes.hpp"
+#include "cosoft/net/sim_network.hpp"
+#include "cosoft/protocol/messages.hpp"
+#include "cosoft/server/co_session.hpp"
 #include "cosoft/server/session_journal.hpp"
 #include "cosoft/toolkit/widget.hpp"
 #include "helpers.hpp"
@@ -377,6 +380,97 @@ TEST(JournalRecovery, CrashRestartConvergesWithControl) {
     EXPECT_EQ(restarted.server().registered_count(), control.server().registered_count());
     EXPECT_TRUE(restarted.conformance_violations().empty());
     EXPECT_TRUE(control.conformance_violations().empty());
+}
+
+/// Server end of a sim pipe whose liveness the test can cut without running
+/// the departure path: what a killed server's connections look like.
+class SeverableChannel final : public net::Channel {
+  public:
+    explicit SeverableChannel(std::shared_ptr<net::Channel> inner) : inner_(std::move(inner)) {}
+    Status send(protocol::Frame frame) override { return inner_->send(std::move(frame)); }
+    void on_receive(ReceiveHandler handler) override { inner_->on_receive(std::move(handler)); }
+    void on_close(CloseHandler handler) override { inner_->on_close(std::move(handler)); }
+    [[nodiscard]] bool connected() const override { return live_ && inner_->connected(); }
+    void close() override { inner_->close(); }
+    void sever() { live_ = false; }
+
+  private:
+    std::shared_ptr<net::Channel> inner_;
+    bool live_ = true;
+};
+
+std::vector<std::uint8_t> fingerprint_of(const server::CoSession& s) {
+    ByteWriter w;
+    s.fingerprint(w);
+    return w.data();
+}
+
+// Protocol v4 moved only the server-to-client Sync* tags, so a journal
+// written at v3 is byte-valid, but its Register frames still carry
+// version 3. The version gate is for live peers: recovery must replay those
+// Registers and land on the state of the session that wrote the journal,
+// not strand every recovered member unregistered.
+TEST(JournalRecovery, V3RegisterReplaysToTheLiveFingerprint) {
+    TempDir live_dir;
+    TempDir v3_dir;
+    net::SimNetwork net;
+    server::CoSession live;
+    ASSERT_TRUE(live.enable_journal(options_in(live_dir)).is_ok());
+
+    std::vector<std::shared_ptr<SeverableChannel>> server_ends;
+    std::vector<std::unique_ptr<client::CoApp>> apps;
+    for (const UserId user : {UserId{1}, UserId{2}}) {
+        auto [client_end, server_end] = net.make_pipe();
+        server_ends.push_back(std::make_shared<SeverableChannel>(server_end));
+        (void)live.attach(server_ends.back());
+        apps.push_back(std::make_unique<client::CoApp>("editor", "user" + std::to_string(user), user));
+        build_ui(*apps.back());
+        apps.back()->connect(client_end);
+    }
+    net.run_all();
+    client::CoApp& a = *apps[0];
+    client::CoApp& b = *apps[1];
+    ASSERT_TRUE(a.online() && b.online());
+    a.couple("field", b.ref("field"));
+    net.run_all();
+    a.emit("field",
+           a.ui().find("field")->make_event(toolkit::EventType::kValueChanged, std::string{"v3"}));
+    net.run_all();
+    b.set_loose("notes", true);
+    a.set_permission(b.user(), "field", protocol::kAllRights, false);
+    net.run_all();
+    ASSERT_EQ(live.registrations().size(), 2u);
+
+    // Rewrite the journal as a v3 server would have left it: the same
+    // records, with every Register frame stamped version 3.
+    std::size_t downgraded = 0;
+    {
+        SessionJournal written{"", options_in(live_dir)};
+        ASSERT_TRUE(written.open().is_ok());
+        SessionJournal v3{"", options_in(v3_dir)};
+        ASSERT_TRUE(v3.open().is_ok());
+        for (const SessionJournal::Record& rec : written.recovered().tail) {
+            ASSERT_EQ(rec.type, SessionJournal::RecordType::kFrame);
+            auto decoded = protocol::decode_message(rec.body);
+            ASSERT_TRUE(decoded.is_ok());
+            if (auto* reg = std::get_if<protocol::Register>(&decoded.value())) {
+                reg->version = 3;
+                ++downgraded;
+            }
+            const protocol::Frame frame = protocol::encode_message(decoded.value());
+            (void)v3.append_frame(rec.origin, frame.bytes(), protocol::message_name(decoded.value()));
+        }
+        ASSERT_TRUE(v3.sync().is_ok());
+    }
+    ASSERT_EQ(downgraded, 2u);
+
+    // The killed server's connections are gone without a departure record.
+    for (const auto& end : server_ends) end->sever();
+    server::CoSession recovered;
+    ASSERT_TRUE(recovered.enable_journal(options_in(v3_dir)).is_ok());
+    EXPECT_EQ(recovered.registrations().size(), 2u);
+    EXPECT_EQ(fingerprint_of(recovered), fingerprint_of(live));
+    EXPECT_TRUE(recovered.check_invariants().empty());
 }
 
 // Mid-burst join: hold the joiner in the synchronizing state (auto-pump

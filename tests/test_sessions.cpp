@@ -17,12 +17,15 @@
 
 #include "cosoft/apps/local_session.hpp"
 #include "cosoft/client/co_app.hpp"
+#include "cosoft/net/http.hpp"
 #include "cosoft/net/reactor.hpp"
 #include "cosoft/net/sim_network.hpp"
 #include "cosoft/net/tcp.hpp"
 #include "cosoft/protocol/conformance.hpp"
 #include "cosoft/protocol/messages.hpp"
+#include "cosoft/server/monitor.hpp"
 #include "cosoft/server/session_manager.hpp"
+#include "helpers.hpp"
 
 namespace cosoft {
 namespace {
@@ -185,39 +188,30 @@ TEST(SessionLifecycle, LocalSessionKeepsItsServerAcrossFullTurnover) {
     EXPECT_EQ(server.connection_count(), 1u);
 }
 
-TEST(SessionLobby, StatusQueryWithoutRegisteringGetsTheGlobalReport) {
+TEST(SessionLobby, StatusListsSessionsAndUnregisteredConnections) {
     SimHarness h;
     h.join("red", "r1", 1);
     h.join("blue", "b1", 2);
 
-    // A monitoring client: raw channel, never registers.
+    // A raw channel that never registers stays in the lobby.
     auto [client_end, server_end] = h.net.make_pipe();
     h.mgr.attach(server_end);
-    protocol::StatusReport report;
-    bool got = false;
-    client_end->on_receive([&](const protocol::Frame& frame) {
-        auto decoded = protocol::decode_message(frame);
-        ASSERT_TRUE(decoded.is_ok());
-        if (auto* r = std::get_if<protocol::StatusReport>(&decoded.value())) {
-            report = std::move(*r);
-            got = true;
-        }
-    });
-    (void)client_end->send(protocol::encode_message(protocol::Message{protocol::StatusQuery{7}}));
     h.net.run_all();
 
-    ASSERT_TRUE(got);
-    EXPECT_EQ(report.request, 7u);
-    ASSERT_EQ(report.sessions.size(), 2u);  // sorted: "blue", "red"
-    EXPECT_EQ(report.sessions[0].name, "blue");
-    EXPECT_EQ(report.sessions[1].name, "red");
-    EXPECT_EQ(report.sessions[0].connections, 1u);
-    EXPECT_EQ(report.sessions[1].registered, 1u);
-    ASSERT_EQ(report.connections.size(), 3u);  // two members + this monitor
-    EXPECT_EQ(report.connections[0].session, "red");
-    EXPECT_EQ(report.connections[1].session, "blue");
-    EXPECT_FALSE(report.connections[2].registered);  // the monitor itself
-    EXPECT_NE(report.metrics_text.find("cosoft_server_sessions_active 2"), std::string::npos);
+    const server::ServerStatus status = h.mgr.status();
+    ASSERT_EQ(status.sessions.size(), 2u);  // sorted: "blue", "red"
+    EXPECT_EQ(status.sessions[0].name, "blue");
+    EXPECT_EQ(status.sessions[1].name, "red");
+    EXPECT_EQ(status.sessions[0].connections, 1u);
+    EXPECT_EQ(status.sessions[1].registered, 1u);
+    ASSERT_EQ(status.connections.size(), 3u);  // two members + the lobby connection
+    EXPECT_EQ(status.connections[0].session, "red");
+    EXPECT_EQ(status.connections[0].user_name, "r1");
+    EXPECT_TRUE(status.connections[0].registered);
+    EXPECT_EQ(status.connections[1].session, "blue");
+    EXPECT_FALSE(status.connections[2].registered);
+    EXPECT_EQ(status.connections[2].session, "");
+    EXPECT_NE(h.mgr.metrics_exposition().find("cosoft_server_sessions_active 2"), std::string::npos);
 }
 
 // --- real TCP --------------------------------------------------------------
@@ -305,59 +299,73 @@ TEST(SessionTcp, StatusQueriesRaceConnectionDepartures) {
     auto listener = net::TcpListener::create(0, listen_options);
     ASSERT_TRUE(listener.is_ok());
 
-    // A monitoring client: unregistered, so every StatusQuery is answered by
-    // the lobby with global_status(), which walks conns_. Meanwhile peers
-    // churn in and out of a session on other workers; depart() parks a
-    // departing connection's channel in the graveyard (nulling conn.channel)
-    // while the conn is still in conns_. Regression: the walk used to
-    // dereference that nulled channel and crash.
-    auto monitor = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(monitor.is_ok());
-    auto monitor_served = listener.value()->accept(2000);
-    ASSERT_TRUE(monitor_served.is_ok());
-    mgr.attach(monitor_served.value());
+    // A scraper hammers GET /status, which walks conns_ under the manager
+    // mutex; three more readers call status() directly, many times faster
+    // than an HTTP round trip, so one is nearly always waiting on the mutex
+    // when depart() drops it. Meanwhile peers churn in and out of a session
+    // on other workers; depart() parks a departing connection's channel in
+    // the graveyard (nulling conn.channel) and drops the mutex while the
+    // conn is still in conns_. Regression: the walk used to dereference that
+    // nulled channel and crash.
+    server::MonitorOptions monitor_options;
+    monitor_options.start_watchdog = false;
+    server::Monitor monitor(mgr, monitor_options);
+    ASSERT_NE(monitor.http_port(), 0) << monitor.http_error();
 
     std::atomic<int> replies{0};
-    monitor.value()->on_receive([&](const protocol::Frame&) { replies.fetch_add(1); });
-
-    std::atomic<bool> churn_done{false};
-    std::thread monitor_thread([&] {
-        std::uint64_t request = 1;
-        while (!churn_done.load()) {
-            (void)monitor.value()->send(
-                protocol::encode_message(protocol::Message{protocol::StatusQuery{request++}}));
-            monitor.value()->poll();
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
+    {
+        std::atomic<bool> churn_done{false};
+        std::vector<std::thread> readers;
+        // Declared before the threads start, so they are stopped and joined
+        // on every exit from this block, a failing ASSERT included.
+        const testing::ScopeExit stop_readers([&] {
+            churn_done.store(true);
+            for (std::thread& t : readers) t.join();
+        });
+        readers.emplace_back([&] {
+            do {
+                auto resp = net::http_get("127.0.0.1", monitor.http_port(), "/status");
+                if (resp.is_ok() && resp.value().status == 200 &&
+                    resp.value().body.rfind("-- sessions (", 0) == 0) {
+                    replies.fetch_add(1);
+                }
+            } while (!churn_done.load());
+        });
+        for (int r = 0; r < 3; ++r) {
+            readers.emplace_back([&] {
+                while (!churn_done.load()) {
+                    (void)mgr.status();
+                    std::this_thread::sleep_for(std::chrono::microseconds(20));
+                }
+            });
         }
-    });
 
-    for (int i = 0; i < 200; ++i) {
-        auto c = net::tcp_connect("127.0.0.1", listener.value()->port());
-        ASSERT_TRUE(c.is_ok());
-        auto s = listener.value()->accept(2000);
-        ASSERT_TRUE(s.is_ok());
-        mgr.attach(s.value());
-        protocol::Register reg;
-        reg.user = static_cast<UserId>(i + 1);
-        reg.user_name = "churn" + std::to_string(i);
-        reg.app_name = "editor";
-        reg.session = "churn";
-        (void)c.value()->send(protocol::encode_message(protocol::Message{reg}));
-        // Dropping the client closes it: the server adopts the Register and
-        // immediately departs, overlapping session detach with lobby status.
+        for (int i = 0; i < 200; ++i) {
+            auto c = net::tcp_connect("127.0.0.1", listener.value()->port());
+            ASSERT_TRUE(c.is_ok());
+            auto s = listener.value()->accept(2000);
+            ASSERT_TRUE(s.is_ok());
+            mgr.attach(s.value());
+            protocol::Register reg;
+            reg.user = static_cast<UserId>(i + 1);
+            reg.user_name = "churn" + std::to_string(i);
+            reg.app_name = "editor";
+            reg.session = "churn";
+            (void)c.value()->send(protocol::encode_message(protocol::Message{reg}));
+            // Dropping the client closes it: the server adopts the Register
+            // and immediately departs, overlapping session detach with the
+            // status reads.
+        }
     }
-    churn_done.store(true);
-    monitor_thread.join();
 
     using Clock = std::chrono::steady_clock;
     const auto deadline = Clock::now() + std::chrono::seconds(5);
-    while (mgr.connection_count() != 1 && Clock::now() < deadline) {
+    while (mgr.connection_count() != 0 && Clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    monitor.value()->poll();
     EXPECT_GT(replies.load(), 0);
     mgr.quiesce();
-    EXPECT_EQ(mgr.connection_count(), 1u);
+    EXPECT_EQ(mgr.connection_count(), 0u);
     EXPECT_TRUE(mgr.check_invariants().empty());
 }
 
@@ -435,7 +443,7 @@ TEST(SessionTcp, SixtyFourSessionsAtConstantThreadCount) {
 
     mgr.quiesce();
     EXPECT_TRUE(mgr.check_invariants().empty());
-    const auto statuses = mgr.session_statuses();
+    const auto statuses = mgr.status().sessions;
     ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kSessions));
     for (const auto& s : statuses) {
         EXPECT_EQ(s.connections, 1u);

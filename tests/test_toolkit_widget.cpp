@@ -122,6 +122,12 @@ struct FeedbackCase {
     AttributeValue expected;    // value after feedback
 };
 
+// Names each case in test listings (and so in ctest names) by what it
+// exercises; gtest's default byte dump of the case embeds heap pointers.
+void PrintTo(const FeedbackCase& c, std::ostream* os) {
+    *os << to_string(c.cls) << ' ' << to_string(c.type) << " sets " << c.attribute;
+}
+
 class FeedbackTest : public ::testing::TestWithParam<FeedbackCase> {};
 
 TEST_P(FeedbackTest, AppliesAndUndoes) {

@@ -1,26 +1,19 @@
 // cosoft-stat — introspection client for a running COSOFT server.
 //
-// Two transports, one renderer:
-//  - protocol mode (default): connect over TCP, send a StatusQuery (legal
-//    without registering — the server treats status queries as monitoring
-//    traffic), pretty-print the StatusReport: build info, the metrics
-//    registry in Prometheus text exposition, one row per live coupling
-//    session, one row per live connection.
-//  - HTTP mode (--http): scrape GET /metrics and /healthz from the server's
-//    monitor plane instead. No per-session/per-connection tables (those ride
-//    the protocol report only), but it works against a server whose
-//    dispatch pipeline is wedged — which is exactly when you want it.
+// Reads the server's HTTP monitor plane (cosoftd --http-port), which keeps
+// answering while the dispatch pipeline is wedged — exactly when you want
+// it. One scrape prints the build/health header, the session and connection
+// tables (GET /status), one row per reactor shard parsed from GET /metrics,
+// and the metrics registry itself.
 //
-// Usage: ./cosoft-stat [host] [port] [--raw] [--http] [--follow SECONDS]
+// Usage: ./cosoft-stat [host] port [--raw] [--follow SECONDS]
 //                      [--journal SESSION]
 //   host      server host (default 127.0.0.1)
-//   port      server port (default 7494, cosoftd's default; with --http or
-//             --journal, cosoftd's --http-port)
+//   port      cosoftd's --http-port
 //   --raw     print only the raw Prometheus text (for scraping pipelines)
-//   --http    scrape the HTTP monitor plane instead of the wire protocol
-//   --journal scrape GET /journal (HTTP monitor plane) and print the named
-//             session's durable-journal tail — seq, record type, origin,
-//             message, bytes. SESSION "all" prints every journaled session;
+//   --journal scrape GET /journal and print the named session's
+//             durable-journal tail — seq, record type, origin, message,
+//             bytes. SESSION "all" prints every journaled session;
 //             "default"/"(default)" names the unnamed session.
 //   --follow  re-scrape every SECONDS (fractional ok), ANSI-refresh the
 //             screen until interrupted
@@ -34,21 +27,18 @@
 #include <vector>
 
 #include "cosoft/net/http.hpp"
-#include "cosoft/net/tcp.hpp"
-#include "cosoft/protocol/messages.hpp"
 
 using namespace cosoft;
 
 namespace {
 
-/// One scrape of the server, whichever transport produced it.
+/// One scrape of the monitor plane.
 struct Scrape {
     bool ok = false;
     std::string error;
-    std::string metrics_text;        ///< Prometheus exposition (both modes)
-    bool has_report = false;         ///< protocol mode: tables available
-    protocol::StatusReport report;
-    bool has_health = false;         ///< http mode: /healthz answered
+    std::string metrics_text;  ///< GET /metrics: Prometheus exposition
+    std::string status_text;   ///< GET /status: session + connection tables
+    bool has_health = false;   ///< /healthz answered
     int health_status = 0;
     std::string health_body;
 };
@@ -133,48 +123,7 @@ std::string build_summary(const std::string& metrics_text) {
     return out;
 }
 
-Scrape fetch_protocol(const std::string& host, std::uint16_t port) {
-    Scrape scrape;
-    auto connected = net::tcp_connect(host, port);
-    if (!connected.is_ok()) {
-        scrape.error = "cannot connect to " + host + ":" + std::to_string(port) + ": " +
-                       connected.error().message;
-        return scrape;
-    }
-    auto channel = connected.value();
-
-    bool got_report = false;
-    channel->on_receive([&](const protocol::Frame& frame) {
-        auto decoded = protocol::decode_message(frame);
-        if (!decoded) return;
-        if (auto* r = std::get_if<protocol::StatusReport>(&decoded.value())) {
-            scrape.report = std::move(*r);
-            got_report = true;
-        }
-    });
-
-    const Status sent =
-        channel->send(protocol::encode_message(protocol::Message{protocol::StatusQuery{1}}));
-    if (!sent.is_ok()) {
-        scrape.error = "send failed: " + sent.message();
-        return scrape;
-    }
-
-    // One query, one report: poll until it lands or the server goes quiet.
-    for (int i = 0; i < 50 && !got_report && channel->connected(); ++i) {
-        (void)channel->poll_blocking(/*timeout_ms=*/100);
-    }
-    if (!got_report) {
-        scrape.error = "no StatusReport from " + host + ":" + std::to_string(port) + " (timed out)";
-        return scrape;
-    }
-    scrape.ok = true;
-    scrape.has_report = true;
-    scrape.metrics_text = scrape.report.metrics_text;
-    return scrape;
-}
-
-Scrape fetch_http(const std::string& host, std::uint16_t port) {
+Scrape fetch(const std::string& host, std::uint16_t port) {
     Scrape scrape;
     auto metrics = net::http_get(host, port, "/metrics");
     if (!metrics.is_ok()) {
@@ -192,6 +141,9 @@ Scrape fetch_http(const std::string& host, std::uint16_t port) {
         scrape.has_health = true;
         scrape.health_status = health.value().status;
         scrape.health_body = std::move(health.value().body);
+    }
+    if (auto status = net::http_get(host, port, "/status"); status.is_ok() && status.value().status == 200) {
+        scrape.status_text = std::move(status.value().body);
     }
     return scrape;
 }
@@ -220,38 +172,7 @@ void render(const Scrape& scrape, const std::string& host, std::uint16_t port, b
     }
     std::printf("\n");
 
-    if (scrape.has_report) {
-        const protocol::StatusReport& report = scrape.report;
-        std::printf("-- sessions (%zu) --\n", report.sessions.size());
-        std::printf("%-20s %5s %5s %7s %12s %8s\n", "session", "conns", "reg", "locks",
-                    "broadcasts", "couples");
-        for (const protocol::SessionStatus& s : report.sessions) {
-            std::printf("%-20s %5u %5u %7llu %12llu %8llu\n",
-                        s.name.empty() ? "(default)" : s.name.c_str(), s.connections, s.registered,
-                        static_cast<unsigned long long>(s.locks_held),
-                        static_cast<unsigned long long>(s.broadcasts),
-                        static_cast<unsigned long long>(s.couples));
-        }
-        std::printf("\n-- connections (%zu) --\n", report.connections.size());
-        std::printf("%-9s %-12s %-16s %-12s %-4s %10s %10s %12s %12s %6s %10s %7s\n", "instance",
-                    "user", "app", "session", "reg", "fr_sent", "fr_recv", "bytes_sent",
-                    "bytes_recv", "bkpr", "peak_bytes", "queued");
-        for (const protocol::ConnectionStatus& c : report.connections) {
-            std::printf(
-                "%-9u %-12s %-16s %-12s %-4s %10llu %10llu %12llu %12llu %6llu %10llu %7llu\n",
-                c.instance, c.user_name.empty() ? "-" : c.user_name.c_str(),
-                c.app_name.empty() ? "-" : c.app_name.c_str(),
-                c.registered ? (c.session.empty() ? "(default)" : c.session.c_str()) : "-",
-                c.registered ? "yes" : "no", static_cast<unsigned long long>(c.frames_sent),
-                static_cast<unsigned long long>(c.frames_received),
-                static_cast<unsigned long long>(c.bytes_sent),
-                static_cast<unsigned long long>(c.bytes_received),
-                static_cast<unsigned long long>(c.backpressure_events),
-                static_cast<unsigned long long>(c.send_queue_peak_bytes),
-                static_cast<unsigned long long>(c.queued_frames));
-        }
-        std::printf("\n");
-    }
+    if (!scrape.status_text.empty()) std::printf("%s\n", scrape.status_text.c_str());
 
     const std::vector<ShardRow> shards = parse_shard_rows(scrape.metrics_text);
     if (!shards.empty()) {
@@ -318,9 +239,9 @@ int run_journal(const std::string& host, std::uint16_t port, const std::string& 
     }
 }
 
-int run(const std::string& host, std::uint16_t port, bool raw, bool http, double follow_seconds) {
+int run(const std::string& host, std::uint16_t port, bool raw, double follow_seconds) {
     for (;;) {
-        const Scrape scrape = http ? fetch_http(host, port) : fetch_protocol(host, port);
+        const Scrape scrape = fetch(host, port);
         if (follow_seconds > 0 && !raw) std::fputs("\x1b[2J\x1b[H", stdout);  // clear + home
         if (!scrape.ok) {
             std::fprintf(stderr, "cosoft-stat: %s\n", scrape.error.c_str());
@@ -336,20 +257,23 @@ int run(const std::string& host, std::uint16_t port, bool raw, bool http, double
 
 }  // namespace
 
+int usage(FILE* out) {
+    std::fprintf(out,
+                 "usage: cosoft-stat [host] port [--raw] [--follow SECONDS] [--journal SESSION]\n"
+                 "  port is cosoftd's --http-port; host defaults to 127.0.0.1.\n"
+                 "  --journal SESSION prints a durable-journal tail ('all' = every session).\n");
+    return out == stdout ? 0 : 2;
+}
+
 int main(int argc, char** argv) {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 7494;
+    std::vector<std::string> positional;
     bool raw = false;
-    bool http = false;
     bool journal = false;
     std::string journal_session;
     double follow_seconds = 0;
-    int positional = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--raw") == 0) {
             raw = true;
-        } else if (std::strcmp(argv[i], "--http") == 0) {
-            http = true;
         } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
             journal = true;
             journal_session = argv[++i];
@@ -357,19 +281,17 @@ int main(int argc, char** argv) {
             follow_seconds = std::strtod(argv[++i], nullptr);
             if (follow_seconds <= 0) follow_seconds = 1.0;
         } else if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf(
-                "usage: cosoft-stat [host] [port] [--raw] [--http] [--follow SECONDS]\n"
-                "                   [--journal SESSION]   (SESSION 'all' = every session;\n"
-                "                    --journal talks to the HTTP monitor port)\n");
-            return 0;
-        } else if (positional == 0) {
-            host = argv[i];
-            ++positional;
+            return usage(stdout);
+        } else if (argv[i][0] == '-') {
+            std::fprintf(stderr, "cosoft-stat: unknown option '%s'\n", argv[i]);
+            return usage(stderr);
         } else {
-            port = static_cast<std::uint16_t>(std::strtoul(argv[i], nullptr, 10));
-            ++positional;
+            positional.emplace_back(argv[i]);
         }
     }
+    if (positional.empty() || positional.size() > 2) return usage(stderr);
+    const std::string host = positional.size() == 2 ? positional[0] : "127.0.0.1";
+    const auto port = static_cast<std::uint16_t>(std::strtoul(positional.back().c_str(), nullptr, 10));
     if (journal) return run_journal(host, port, journal_session, follow_seconds);
-    return run(host, port, raw, http, follow_seconds);
+    return run(host, port, raw, follow_seconds);
 }
