@@ -2,6 +2,8 @@
 // rejected rather than misparsed.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cosoft/protocol/messages.hpp"
 
 namespace cosoft::protocol {
@@ -127,6 +129,101 @@ TEST(MessageDecode, TrailingGarbageRejected) {
     auto bytes = encode_message(Message{LockGrant{1}}).to_vector();
     bytes.push_back(0x77);
     EXPECT_FALSE(decode_message(bytes).is_ok());
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t b : bytes) {
+        out += kDigits[b >> 4];
+        out += kDigits[b & 0xf];
+    }
+    return out;
+}
+
+std::vector<std::uint8_t> unhex(std::string_view text) {
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+        out.push_back(static_cast<std::uint8_t>(std::stoi(std::string{text.substr(i, 2)}, nullptr, 16)));
+    }
+    return out;
+}
+
+// The wire bytes of every sample, pinned as protocol v4 encodes them. The
+// round-trip tests cannot see a layout change once encode and decode are
+// generated from the same field list (both sides would move together), so
+// these literals are the referee for "the wire format did not change".
+// Indexed like all_samples(), which is variant (= wire tag) order.
+constexpr const char* kGoldenFrames[] = {
+    "000705616c69636505686f73743104746f72690400",  // Register
+    "010300",  // RegisterAck
+    "02",  // Unregister
+    "030b",  // RegistryQuery
+    "040b02010705616c69636505686f73743104746f7269020803626f6205686f73743206636f736f6674",  // RegistryReply
+    "05050103612f620203782f79",  // CoupleReq
+    "06060103612f620203782f79",  // DecoupleReq
+    "0703010161020162030163",  // GroupUpdate
+    "080901016102010161020162",  // LockReq
+    "0909",  // LockGrant
+    "0a09020162",  // LockDeny
+    "0b090101020162",  // LockNotify
+    "0c09010161097375622f6669656c64010c71756572792f617574686f7204045a68616f00",  // EventMsg
+    "0d0901016102020162030163097375622f6669656c64010c71756572792f617574686f7204045a68616f00",  // ExecuteEvent
+    "0e09",  // ExecuteAck
+    "0f0c0203647374020005717565727901057469746c65040151010306617574686f72010576616c75650405486f7070650003010203",  // CopyTo
+    "100d0203737263096c6f63616c2f64737401",  // CopyFrom
+    "110e0203737263030364737400",  // RemoteCopy
+    "120f09736f6d652f70617468",  // StateQuery
+    "130f09736f6d652f70617468010005717565727901057469746c65040151010306617574686f72010576616c75650405486f707065000109",  // StateReply
+    "1410086473742f7061746802010005717565727901057469746c65040151010306617574686f72010576616c75650405486f707065000207070203737263",  // ApplyState
+    "1501036f626a020005717565727901057469746c65040151010306617574686f72010576616c75650405486f70706500",  // HistorySave
+    "161101036f626a",  // UndoReq
+    "171201036f626a",  // RedoReq
+    "18130d6f70656e2d65786572636973650402dead",  // Command
+    "19040d6f70656e2d657865726369736502beef",  // CommandDeliver
+    "1a14070105626f6172640700",  // PermissionSet
+    "1b15040e68656c6420656c73657768657265",  // Ack
+    "1c1603086578657263697365",  // FetchState
+    "1d17010370616401",  // SetCouplingMode
+    "1e180103706164",  // SyncRequest
+    "1f29",  // SyncBegin
+    "2003010203",  // SyncState
+    "212a0302cafe",  // SyncStep
+    "222b",  // SyncEnd
+};
+
+TEST(WireGolden, EverySampleEncodesToItsPinnedBytes) {
+    const auto samples = all_samples();
+    ASSERT_EQ(std::size(kGoldenFrames), samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(hex(encode_message(samples[i])), kGoldenFrames[i]) << message_name(samples[i]);
+    }
+}
+
+TEST(WireGolden, EveryPinnedFrameDecodesToItsSample) {
+    const auto samples = all_samples();
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const auto decoded = decode_message(unhex(kGoldenFrames[i]));
+        ASSERT_TRUE(decoded.is_ok()) << message_name(samples[i]) << ": " << decoded.error().message;
+        EXPECT_EQ(decoded.value(), samples[i]) << message_name(samples[i]);
+    }
+}
+
+TEST(WireGolden, TraceExtensionFrameIsPinned) {
+    const Message msg = LockReq{9, {1, "a"}, {{1, "a"}, {2, "b"}}};
+    EXPECT_EQ(hex(encode_message(msg, obs::TraceContext{0x1122334455667788ULL, 0x99})),
+              "e788ef99abc5e88c91119901080901016102010161020162");
+}
+
+TEST(WireGolden, SyncStateSectionIsPinned) {
+    const SyncStateSection section{
+        {{1, 7, "alice", "host1", "tori"}, {2, 8, "bob", "host2", "cosoft"}},
+        {{{1, "a"}, {2, "b"}}, {{1, "pad"}, {3, "pad"}, {4, "pad"}}},
+        {{3, "pad"}},
+    };
+    EXPECT_EQ(hex(encode_sync_state(section)),
+              "02010705616c69636505686f73743104746f7269020803626f6205686f73743206636f736f6674"
+              "020201016102016203010370616403037061640403706164010303706164");
 }
 
 TEST(ObjectRefCodec, RoundTrip) {
