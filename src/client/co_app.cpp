@@ -647,21 +647,12 @@ void CoApp::handle_frame(const protocol::Frame& frame) {
     // The frame's trace context (if any) parents everything this dispatch
     // sends; handlers that open their own span narrow it further.
     current_trace_ = decoded.value().trace;
+    // The handle() overload set is the dispatch table, as in
+    // CoSession::dispatch_frame: by-value handlers take the decoded message
+    // by move, and client-to-server types (no handler) are ignored.
     std::visit(
         [&](auto&& m) {
-            using T = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<T, RegisterAck> || std::is_same_v<T, GroupUpdate> ||
-                          std::is_same_v<T, ApplyState> || std::is_same_v<T, RegistryReply> ||
-                          std::is_same_v<T, StateReply> || std::is_same_v<T, SyncState> ||
-                          std::is_same_v<T, SyncStep>) {
-                handle(std::move(m));
-            } else if constexpr (std::is_same_v<T, LockGrant> || std::is_same_v<T, LockDeny> ||
-                                 std::is_same_v<T, LockNotify> || std::is_same_v<T, ExecuteEvent> ||
-                                 std::is_same_v<T, StateQuery> || std::is_same_v<T, CommandDeliver> ||
-                                 std::is_same_v<T, Ack> || std::is_same_v<T, SyncEnd>) {
-                handle(m);
-            }
-            // Client-to-server types arriving here are ignored.
+            if constexpr (requires { handle(std::move(m)); }) handle(std::move(m));
         },
         decoded.value().message);
     current_trace_ = {};

@@ -30,6 +30,8 @@ enum class ErrorCode : std::uint8_t {
     kHistoryEmpty,       ///< undo/redo with no stored state
     kInvalidArgument,
 };
+/// Largest valid ErrorCode; the wire decoder rejects bytes above it.
+[[nodiscard]] constexpr ErrorCode enum_max(ErrorCode) noexcept { return ErrorCode::kInvalidArgument; }
 
 [[nodiscard]] std::string_view to_string(ErrorCode code) noexcept;
 

@@ -1,6 +1,7 @@
 #include "cosoft/protocol/conformance.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -10,68 +11,26 @@ namespace cosoft::protocol {
 
 namespace {
 
+/// Every client message except Register needs a completed registration.
 template <typename T>
-constexpr std::size_t tag_of() {
-    return Message(std::in_place_type<T>).index();
+constexpr MessageRule rule_of() {
+    const bool c2s = T::kFlow != Flow::kServerToClient;
+    return MessageRule{T::kName, c2s, T::kFlow != Flow::kClientToServer, c2s && !std::is_same_v<T, Register>};
 }
 
-std::vector<MessageRule> build_rules() {
-    std::vector<MessageRule> rules(std::variant_size_v<Message>);
-    const auto c2s = [&rules](std::size_t tag, std::string_view name, bool needs_registration = true) {
-        rules[tag] = MessageRule{name, /*client_to_server=*/true, /*server_to_client=*/false, needs_registration};
-    };
-    const auto s2c = [&rules](std::size_t tag, std::string_view name) {
-        rules[tag] = MessageRule{name, /*client_to_server=*/false, /*server_to_client=*/true, false};
-    };
-    c2s(tag_of<Register>(), "Register", /*needs_registration=*/false);
-    s2c(tag_of<RegisterAck>(), "RegisterAck");
-    c2s(tag_of<Unregister>(), "Unregister");
-    c2s(tag_of<RegistryQuery>(), "RegistryQuery");
-    s2c(tag_of<RegistryReply>(), "RegistryReply");
-    c2s(tag_of<CoupleReq>(), "CoupleReq");
-    c2s(tag_of<DecoupleReq>(), "DecoupleReq");
-    s2c(tag_of<GroupUpdate>(), "GroupUpdate");
-    c2s(tag_of<LockReq>(), "LockReq");
-    s2c(tag_of<LockGrant>(), "LockGrant");
-    s2c(tag_of<LockDeny>(), "LockDeny");
-    s2c(tag_of<LockNotify>(), "LockNotify");
-    c2s(tag_of<EventMsg>(), "EventMsg");
-    s2c(tag_of<ExecuteEvent>(), "ExecuteEvent");
-    c2s(tag_of<ExecuteAck>(), "ExecuteAck");
-    c2s(tag_of<CopyTo>(), "CopyTo");
-    c2s(tag_of<CopyFrom>(), "CopyFrom");
-    c2s(tag_of<RemoteCopy>(), "RemoteCopy");
-    s2c(tag_of<StateQuery>(), "StateQuery");
-    // StateReply travels both ways: C2S answering a server StateQuery, S2C
-    // routing a FetchState result back to the requester.
-    rules[tag_of<StateReply>()] = MessageRule{"StateReply", true, true, true};
-    s2c(tag_of<ApplyState>(), "ApplyState");
-    c2s(tag_of<HistorySave>(), "HistorySave");
-    c2s(tag_of<UndoReq>(), "UndoReq");
-    c2s(tag_of<RedoReq>(), "RedoReq");
-    c2s(tag_of<Command>(), "Command");
-    s2c(tag_of<CommandDeliver>(), "CommandDeliver");
-    c2s(tag_of<PermissionSet>(), "PermissionSet");
-    s2c(tag_of<Ack>(), "Ack");
-    c2s(tag_of<FetchState>(), "FetchState");
-    c2s(tag_of<SetCouplingMode>(), "SetCouplingMode");
-    c2s(tag_of<SyncRequest>(), "SyncRequest");
-    s2c(tag_of<SyncBegin>(), "SyncBegin");
-    s2c(tag_of<SyncState>(), "SyncState");
-    s2c(tag_of<SyncStep>(), "SyncStep");
-    s2c(tag_of<SyncEnd>(), "SyncEnd");
-    return rules;
+template <std::size_t... I>
+constexpr auto make_rules(std::index_sequence<I...>) {
+    return std::array<MessageRule, sizeof...(I)>{rule_of<std::variant_alternative_t<I, Message>>()...};
 }
+
+constexpr auto kRules = make_rules(std::make_index_sequence<std::variant_size_v<Message>>{});
 
 }  // namespace
 
+const std::array<MessageRule, std::variant_size_v<Message>>& message_rules() noexcept { return kRules; }
+
 std::string_view to_string(Direction d) noexcept {
     return d == Direction::kClientToServer ? "client->server" : "server->client";
-}
-
-const std::vector<MessageRule>& message_rules() {
-    static const std::vector<MessageRule> rules = build_rules();
-    return rules;
 }
 
 ConformanceChecker::ConformanceChecker(std::string label) : label_(std::move(label)) {}
@@ -108,14 +67,14 @@ void ConformanceChecker::observe(Direction dir, const Message& msg) {
     }
 }
 
-void ConformanceChecker::consume(Direction dir, const Message& msg, ActionId request, Expect kind) {
+void ConformanceChecker::consume(Direction dir, const Message& msg, ActionId request) {
     const auto it = outstanding_.find(request);
     if (it == outstanding_.end()) {
         violation(dir, msg, "response to unknown or already-answered request " + std::to_string(request));
         return;
     }
     // An error Ack may answer any request; typed replies must match theirs.
-    if (kind != Expect::kAck && it->second != kind) {
+    if (!std::holds_alternative<Ack>(msg) && it->second != msg.index()) {
         violation(dir, msg, "response type does not match request " + std::to_string(request));
     }
     outstanding_.erase(it);
@@ -157,43 +116,20 @@ void ConformanceChecker::check_client_to_server(const Message& msg) {
         return;
     }
 
-    // Requests that expect exactly one response.
-    const auto request = [&](ActionId id, Expect kind) {
-        if (outstanding_.contains(id)) {
-            violation(dir, msg, "reused request id " + std::to_string(id));
-            return;
-        }
-        outstanding_.emplace(id, kind);
-    };
+    // A request that declares a Reply type expects exactly one response.
+    std::visit(
+        [&](const auto& m) {
+            using T = std::decay_t<decltype(m)>;
+            if constexpr (requires { typename T::Reply; }) {
+                if (!outstanding_.emplace(m.request, tag_of<typename T::Reply>()).second) {
+                    violation(dir, msg, "reused request id " + std::to_string(m.request));
+                }
+            }
+        },
+        msg);
 
     if (std::holds_alternative<Unregister>(msg)) {
         unregister_sent_ = true;
-    } else if (const auto* m = std::get_if<RegistryQuery>(&msg)) {
-        request(m->request, Expect::kRegistryReply);
-    } else if (const auto* m = std::get_if<FetchState>(&msg)) {
-        request(m->request, Expect::kStateReply);
-    } else if (const auto* m = std::get_if<CoupleReq>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<DecoupleReq>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<CopyTo>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<CopyFrom>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<RemoteCopy>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<UndoReq>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<RedoReq>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<Command>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<PermissionSet>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<SetCouplingMode>(&msg)) {
-        request(m->request, Expect::kAck);
-    } else if (const auto* m = std::get_if<SyncRequest>(&msg)) {
-        request(m->request, Expect::kAck);
     } else if (const auto* m = std::get_if<LockReq>(&msg)) {
         if (own_actions_.contains(m->action)) {
             violation(dir, msg, "reused action id " + std::to_string(m->action));
@@ -248,7 +184,7 @@ void ConformanceChecker::check_server_to_client(const Message& msg) {
     if (const auto* m = std::get_if<Ack>(&msg)) {
         // Request 0 is the server's unsolicited notice slot (e.g. protocol
         // version mismatch before registration).
-        if (m->request != 0) consume(dir, msg, m->request, Expect::kAck);
+        if (m->request != 0) consume(dir, msg, m->request);
         return;
     }
     if (!registered_) {
@@ -321,9 +257,9 @@ void ConformanceChecker::check_server_to_client(const Message& msg) {
         return;
     }
     if (const auto* m = std::get_if<RegistryReply>(&msg)) {
-        consume(dir, msg, m->request, Expect::kRegistryReply);
+        consume(dir, msg, m->request);
     } else if (const auto* m = std::get_if<StateReply>(&msg)) {
-        consume(dir, msg, m->request, Expect::kStateReply);
+        consume(dir, msg, m->request);
     } else if (const auto* m = std::get_if<StateQuery>(&msg)) {
         if (server_queries_.contains(m->request)) {
             violation(dir, msg, "duplicate server StateQuery request " + std::to_string(m->request));
@@ -374,7 +310,7 @@ void ConformanceChecker::fingerprint(ByteWriter& w) const {
             w.u64(value_of(map.at(id)));
         }
     };
-    write_sorted(outstanding_, [](Expect e) { return static_cast<std::uint64_t>(e); });
+    write_sorted(outstanding_, [](std::uint8_t reply_tag) { return static_cast<std::uint64_t>(reply_tag); });
     write_sorted(own_actions_, [](LockPhase p) { return static_cast<std::uint64_t>(p); });
     write_sorted(own_ack_pending_, [](bool b) { return static_cast<std::uint64_t>(b); });
     write_sorted(exec_pending_, [](std::uint64_t n) { return n; });

@@ -6,9 +6,12 @@
 // holder's own completion), responses consume exactly one outstanding
 // request, and nothing from the client follows its Unregister. The
 // ConformanceChecker encodes those rules declaratively — a per-message-type
-// table of direction and registration requirements plus a small amount of
-// pairing state — and observes one connection's frames in both directions,
-// recording human-readable violations.
+// table of direction and registration requirements, generated from each
+// message's kName/kFlow, request/reply pairing from each request's Reply
+// type, plus hand-written lifecycle state (registration, the §3.2 lock
+// cycle, the sync stream, server StateQuery pairing) — and observes one
+// connection's frames in both directions, recording human-readable
+// violations.
 //
 // CheckedChannel interposes a checker on any net::Channel, so integration
 // suites (and cosoft-mc worlds) validate every frame they move. Under
@@ -16,6 +19,7 @@
 // violations are only collected for inspection.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,8 +50,9 @@ struct MessageRule {
     bool needs_registration = true;
 };
 
-/// The rule table, indexed by wire tag (= Message variant index).
-[[nodiscard]] const std::vector<MessageRule>& message_rules();
+/// The rule table, indexed by wire tag (= Message variant index), generated
+/// from each message's kName and kFlow.
+[[nodiscard]] const std::array<MessageRule, std::variant_size_v<Message>>& message_rules() noexcept;
 
 /// Observes one client<->server connection and validates every frame
 /// against the protocol state machine. Single-threaded, like the channels
@@ -74,8 +79,6 @@ class ConformanceChecker {
     void fingerprint(ByteWriter& w) const;
 
   private:
-    /// What kind of response an outstanding client request expects.
-    enum class Expect : std::uint8_t { kAck, kRegistryReply, kStateReply };
     /// Lifecycle of one of the client's own floor-control actions.
     /// kRetired keeps the id in the table after deny/completion: client
     /// action counters are monotonic, so any reuse is a conformance bug.
@@ -90,8 +93,10 @@ class ConformanceChecker {
     void violation(Direction dir, const Message& msg, const std::string& detail);
     void check_client_to_server(const Message& msg);
     void check_server_to_client(const Message& msg);
-    /// Consumes an outstanding request for a response carrying `request`.
-    void consume(Direction dir, const Message& msg, ActionId request, Expect kind);
+    /// Consumes the outstanding request `request` answered by `msg`: an Ack
+    /// may answer any request, a typed reply only the request whose Reply
+    /// type it is.
+    void consume(Direction dir, const Message& msg, ActionId request);
 
     std::string label_;
     std::vector<std::string> violations_;
@@ -112,7 +117,7 @@ class ConformanceChecker {
     /// part of the fingerprint.
     bool applying_sync_step_ = false;
 
-    std::unordered_map<ActionId, Expect> outstanding_;       ///< client requests awaiting a response
+    std::unordered_map<ActionId, std::uint8_t> outstanding_;  ///< client request -> tag of its Reply
     std::unordered_map<ActionId, LockPhase> own_actions_;    ///< client's floor-control actions
     std::unordered_map<ActionId, bool> own_ack_pending_;     ///< EventMsg sent, own ExecuteAck not yet
     std::unordered_map<ActionId, std::uint64_t> exec_pending_;  ///< ExecuteEvents received, not yet acked

@@ -1,6 +1,9 @@
 #include "cosoft/protocol/messages.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "cosoft/common/arena.hpp"
 #include "cosoft/common/hot_path.hpp"
@@ -10,251 +13,121 @@ namespace cosoft::protocol {
 
 namespace {
 
-// The wire tag is the variant index; both ends are built from this header so
-// the mapping is stable by construction.
+// --- the field codec ----------------------------------------------------------
+//
+// One overload per wire shape. A struct with fields() is its fields in order;
+// a vector is a u32 count followed by its elements; integers are varints
+// (u8 and bool are one raw byte); enums are one byte checked against their
+// enum_max. Every overload is declared before any template body, so nested
+// shapes (a vector of structs holding ObjectRefs) resolve without relying on
+// argument-dependent lookup.
+
 template <typename T>
-constexpr std::uint8_t tag_of() {
-    return static_cast<std::uint8_t>(Message(std::in_place_type<T>).index());
+concept HasFields = requires { T::fields(); };
+
+void encode_field(ByteWriter& w, bool v) { w.boolean(v); }
+void encode_field(ByteWriter& w, std::uint8_t v) { w.u8(v); }
+void encode_field(ByteWriter& w, std::uint32_t v) { w.u32(v); }
+void encode_field(ByteWriter& w, std::uint64_t v) { w.u64(v); }
+void encode_field(ByteWriter& w, const std::string& v) { w.str(v); }
+void encode_field(ByteWriter& w, const std::vector<std::uint8_t>& v) { w.bytes(v); }
+void encode_field(ByteWriter& w, const ObjectRef& v) { encode(w, v); }
+void encode_field(ByteWriter& w, const toolkit::Event& v) { toolkit::encode(w, v); }
+void encode_field(ByteWriter& w, const toolkit::UiState& v) { toolkit::encode(w, v); }
+template <typename E>
+    requires std::is_enum_v<E>
+void encode_field(ByteWriter& w, E v);
+template <typename T>
+void encode_field(ByteWriter& w, const std::vector<T>& v);
+template <HasFields T>
+void encode_field(ByteWriter& w, const T& v);
+
+void decode_field(ByteReader& r, bool& v) { v = r.boolean(); }
+void decode_field(ByteReader& r, std::uint8_t& v) { v = r.u8(); }
+void decode_field(ByteReader& r, std::uint32_t& v) { v = r.u32(); }
+void decode_field(ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+void decode_field(ByteReader& r, std::string& v) { v = r.str(); }
+void decode_field(ByteReader& r, std::vector<std::uint8_t>& v) { v = r.bytes(); }
+void decode_field(ByteReader& r, ObjectRef& v) { v = decode_object_ref(r); }
+void decode_field(ByteReader& r, toolkit::Event& v) { v = toolkit::decode_event(r); }
+void decode_field(ByteReader& r, toolkit::UiState& v) { v = toolkit::decode_ui_state(r); }
+template <typename E>
+    requires std::is_enum_v<E>
+void decode_field(ByteReader& r, E& v);
+template <typename T>
+void decode_field(ByteReader& r, std::vector<T>& v);
+template <HasFields T>
+void decode_field(ByteReader& r, T& v);
+
+template <typename E>
+    requires std::is_enum_v<E>
+void encode_field(ByteWriter& w, E v) {
+    static_assert(sizeof(E) == 1, "wire enums are one byte");
+    w.u8(static_cast<std::uint8_t>(v));
 }
 
-void put(ByteWriter& w, const std::vector<std::uint8_t>& bytes) { w.bytes(bytes); }
-
-void put_refs(ByteWriter& w, const std::vector<ObjectRef>& refs) {
-    w.u32(static_cast<std::uint32_t>(refs.size()));
-    for (const auto& r : refs) encode(w, r);
+template <typename T>
+void encode_field(ByteWriter& w, const std::vector<T>& v) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& item : v) encode_field(w, item);
 }
 
-std::vector<ObjectRef> get_refs(ByteReader& r) {
+template <HasFields T>
+void encode_field(ByteWriter& w, const T& v) {
+    std::apply([&](auto... member) { (encode_field(w, v.*member), ...); }, T::fields());
+}
+
+template <typename E>
+    requires std::is_enum_v<E>
+void decode_field(ByteReader& r, E& v) {
+    const std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(enum_max(E{}))) r.fail();
+    v = static_cast<E>(raw);
+}
+
+template <typename T>
+void decode_field(ByteReader& r, std::vector<T>& v) {
     const std::uint32_t n = r.u32();
-    std::vector<ObjectRef> out;
-    out.reserve(std::min<std::uint32_t>(n, 4096));
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) out.push_back(decode_object_ref(r));
-    return out;
+    // A hostile count must not reserve unbounded memory up front.
+    v.reserve(std::min<std::uint32_t>(n, 4096));
+    for (std::uint32_t i = 0; i < n && r.ok(); ++i) decode_field(r, v.emplace_back());
 }
 
-void put_record(ByteWriter& w, const RegistrationRecord& rec) {
-    w.u32(rec.instance);
-    w.u32(rec.user);
-    w.str(rec.user_name);
-    w.str(rec.host_name);
-    w.str(rec.app_name);
+template <HasFields T>
+void decode_field(ByteReader& r, T& v) {
+    std::apply([&](auto... member) { (decode_field(r, v.*member), ...); }, T::fields());
 }
 
-MergeMode get_mode(ByteReader& r) {
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(MergeMode::kFlexible)) r.fail();
-    return static_cast<MergeMode>(v);
+/// Decodes alternative `tag` of Message in place. The fold makes one direct
+/// call per alternative rather than indexing a table of function pointers:
+/// the hot-path gate (scripts/hotpath_analyze) follows only direct calls, so
+/// a pointer table would hide every field decoder — and the allocations in
+/// them — from the CoSession::dispatch_frame root it audits.
+template <std::size_t... I>
+bool decode_alternative(std::uint8_t tag, ByteReader& r, Message& msg, std::index_sequence<I...>) {
+    return ((tag == I && (decode_field(r, msg.emplace<I>()), true)) || ...);
 }
 
-HistoryTag get_tag(ByteReader& r) {
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(HistoryTag::kRedo)) r.fail();
-    return static_cast<HistoryTag>(v);
+/// Decodes the message body (tag + fields + exhaustion check) from `r`,
+/// which may already have consumed a trace extension prefix.
+Status decode_body(ByteReader& r, Message& msg) {
+    const std::uint8_t tag = r.u8();
+    if (!decode_alternative(tag, r, msg, std::make_index_sequence<std::variant_size_v<Message>>{})) {
+        return Status{ErrorCode::kBadMessage, "unknown message tag " + std::to_string(tag)};
+    }
+    if (!r.exhausted()) {
+        return Status{ErrorCode::kBadMessage,
+                      std::string{"malformed "} + std::string{message_name(msg)} + " frame"};
+    }
+    return Status::ok();
 }
 
-ErrorCode get_code(ByteReader& r) {
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(ErrorCode::kInvalidArgument)) r.fail();
-    return static_cast<ErrorCode>(v);
-}
-
-RegistrationRecord get_record(ByteReader& r) {
-    RegistrationRecord rec;
-    rec.instance = r.u32();
-    rec.user = r.u32();
-    rec.user_name = r.str();
-    rec.host_name = r.str();
-    rec.app_name = r.str();
-    return rec;
-}
-
-struct Encoder {
-    ByteWriter& w;
-
-    void operator()(const Register& m) {
-        w.u32(m.user);
-        w.str(m.user_name);
-        w.str(m.host_name);
-        w.str(m.app_name);
-        w.u32(m.version);
-        w.str(m.session);
-    }
-    void operator()(const RegisterAck& m) {
-        w.u32(m.instance);
-        w.boolean(m.sync_follows);
-    }
-    void operator()(const Unregister&) {}
-    void operator()(const RegistryQuery& m) { w.u64(m.request); }
-    void operator()(const RegistryReply& m) {
-        w.u64(m.request);
-        w.u32(static_cast<std::uint32_t>(m.instances.size()));
-        for (const auto& rec : m.instances) put_record(w, rec);
-    }
-    void operator()(const CoupleReq& m) {
-        w.u64(m.request);
-        encode(w, m.source);
-        encode(w, m.dest);
-    }
-    void operator()(const DecoupleReq& m) {
-        w.u64(m.request);
-        encode(w, m.source);
-        encode(w, m.dest);
-    }
-    void operator()(const GroupUpdate& m) { put_refs(w, m.members); }
-    void operator()(const LockReq& m) {
-        w.u64(m.action);
-        encode(w, m.source);
-        put_refs(w, m.objects);
-    }
-    void operator()(const LockGrant& m) { w.u64(m.action); }
-    void operator()(const LockDeny& m) {
-        w.u64(m.action);
-        encode(w, m.conflicting);
-    }
-    void operator()(const LockNotify& m) {
-        w.u64(m.action);
-        w.boolean(m.locked);
-        put_refs(w, m.objects);
-    }
-    void operator()(const EventMsg& m) {
-        w.u64(m.action);
-        encode(w, m.source);
-        w.str(m.relative_path);
-        encode(w, m.event);
-    }
-    void operator()(const ExecuteEvent& m) {
-        w.u64(m.action);
-        encode(w, m.source);
-        put_refs(w, m.targets);
-        w.str(m.relative_path);
-        encode(w, m.event);
-    }
-    void operator()(const ExecuteAck& m) { w.u64(m.action); }
-    void operator()(const CopyTo& m) {
-        w.u64(m.request);
-        encode(w, m.dest);
-        w.u8(static_cast<std::uint8_t>(m.mode));
-        encode(w, m.state);
-        put(w, m.semantic);
-    }
-    void operator()(const CopyFrom& m) {
-        w.u64(m.request);
-        encode(w, m.source);
-        w.str(m.dest_path);
-        w.u8(static_cast<std::uint8_t>(m.mode));
-    }
-    void operator()(const RemoteCopy& m) {
-        w.u64(m.request);
-        encode(w, m.source);
-        encode(w, m.dest);
-        w.u8(static_cast<std::uint8_t>(m.mode));
-    }
-    void operator()(const StateQuery& m) {
-        w.u64(m.request);
-        w.str(m.path);
-    }
-    void operator()(const StateReply& m) {
-        w.u64(m.request);
-        w.str(m.path);
-        w.boolean(m.found);
-        encode(w, m.state);
-        put(w, m.semantic);
-    }
-    void operator()(const ApplyState& m) {
-        w.u64(m.request);
-        w.str(m.dest_path);
-        w.u8(static_cast<std::uint8_t>(m.mode));
-        w.u8(static_cast<std::uint8_t>(m.tag));
-        encode(w, m.state);
-        put(w, m.semantic);
-        encode(w, m.origin);
-    }
-    void operator()(const HistorySave& m) {
-        encode(w, m.object);
-        w.u8(static_cast<std::uint8_t>(m.tag));
-        encode(w, m.state);
-    }
-    void operator()(const UndoReq& m) {
-        w.u64(m.request);
-        encode(w, m.object);
-    }
-    void operator()(const RedoReq& m) {
-        w.u64(m.request);
-        encode(w, m.object);
-    }
-    void operator()(const Command& m) {
-        w.u64(m.request);
-        w.str(m.name);
-        w.u32(m.target);
-        put(w, m.payload);
-    }
-    void operator()(const CommandDeliver& m) {
-        w.u32(m.from);
-        w.str(m.name);
-        put(w, m.payload);
-    }
-    void operator()(const PermissionSet& m) {
-        w.u64(m.request);
-        w.u32(m.user);
-        encode(w, m.object);
-        w.u8(m.rights);
-        w.boolean(m.allow);
-    }
-    void operator()(const Ack& m) {
-        w.u64(m.request);
-        w.u8(static_cast<std::uint8_t>(m.code));
-        w.str(m.message);
-    }
-    void operator()(const FetchState& m) {
-        w.u64(m.request);
-        encode(w, m.source);
-    }
-    void operator()(const SetCouplingMode& m) {
-        w.u64(m.request);
-        encode(w, m.object);
-        w.boolean(m.loose);
-    }
-    void operator()(const SyncRequest& m) {
-        w.u64(m.request);
-        encode(w, m.object);
-    }
-    void operator()(const SyncBegin& m) { w.u64(m.base_seq); }
-    void operator()(const SyncState& m) { put(w, m.state); }
-    void operator()(const SyncStep& m) {
-        w.u64(m.seq);
-        w.u32(m.origin);
-        put(w, m.frame);
-    }
-    void operator()(const SyncEnd& m) { w.u64(m.last_seq); }
-};
-
-}  // namespace
-
-void encode(ByteWriter& w, const ObjectRef& ref) {
-    w.u32(ref.instance);
-    w.str(ref.path);
-}
-
-ObjectRef decode_object_ref(ByteReader& r) {
-    ObjectRef ref;
-    ref.instance = r.u32();
-    ref.path = r.str();
-    return ref;
-}
-
-namespace {
 // The encode-once instrumentation lives in the global metrics registry; the
 // function-local reference keeps the hot path at one relaxed increment.
 obs::Counter& encode_counter() {
     static obs::Counter& counter = obs::Registry::global().counter("cosoft_protocol_encodes_total");
     return counter;
 }
-}  // namespace
-
-std::uint64_t encode_count() noexcept { return encode_counter().value(); }
-void reset_encode_count() noexcept { encode_counter().reset(); }
-
-namespace {
 
 /// Per-thread scratch encoder, cleared (not freed) between messages: buffer
 /// growth amortizes to zero once a thread has seen its largest message, so a
@@ -273,6 +146,25 @@ ByteWriter& scratch_writer() {
     return w;
 }
 
+/// Counts one encode and writes `[trace extension] tag fields` into the
+/// scratch writer.
+ByteWriter& encode_to_scratch(const Message& msg, const obs::TraceContext& trace) {
+    encode_counter().inc();
+    ByteWriter& w = scratch_writer();
+    if (trace.valid()) {
+        w.u8(kTraceExtensionTag);
+        w.u64(trace.trace);
+        w.u64(trace.span);
+    }
+    std::visit(
+        [&w](const auto& m) {
+            w.u8(tag_of<std::decay_t<decltype(m)>>());
+            encode_field(w, m);
+        },
+        msg);
+    return w;
+}
+
 Frame frame_of(ByteWriter& w) { return Frame::copy_of(w.data()); }
 
 /// Arena variant: the payload lands in the caller's arena epoch instead of a
@@ -288,344 +180,41 @@ Frame frame_of(ByteWriter& w, Arena& arena) {
 
 }  // namespace
 
+void encode(ByteWriter& w, const ObjectRef& ref) {
+    w.u32(ref.instance);
+    w.str(ref.path);
+}
+
+ObjectRef decode_object_ref(ByteReader& r) {
+    ObjectRef ref;
+    ref.instance = r.u32();
+    ref.path = r.str();
+    return ref;
+}
+
+std::uint64_t encode_count() noexcept { return encode_counter().value(); }
+void reset_encode_count() noexcept { encode_counter().reset(); }
+
 CO_HOT_PATH Frame encode_message(const Message& msg) {
     CO_HOT_SCOPE("protocol.encode");
-    encode_counter().inc();
-    ByteWriter& w = scratch_writer();
-    w.u8(static_cast<std::uint8_t>(msg.index()));
-    std::visit(Encoder{w}, msg);
-    return frame_of(w);
+    return frame_of(encode_to_scratch(msg, obs::TraceContext{}));
 }
 
 CO_HOT_PATH Frame encode_message(const Message& msg, const obs::TraceContext& trace) {
-    if (!trace.valid()) return encode_message(msg);
     CO_HOT_SCOPE("protocol.encode");
-    encode_counter().inc();
-    ByteWriter& w = scratch_writer();
-    w.u8(kTraceExtensionTag);
-    w.u64(trace.trace);
-    w.u64(trace.span);
-    w.u8(static_cast<std::uint8_t>(msg.index()));
-    std::visit(Encoder{w}, msg);
-    return frame_of(w);
+    return frame_of(encode_to_scratch(msg, trace));
 }
 
 CO_HOT_PATH Frame encode_message(const Message& msg, Arena& arena) {
     CO_HOT_SCOPE("protocol.encode");
-    encode_counter().inc();
-    ByteWriter& w = scratch_writer();
-    w.u8(static_cast<std::uint8_t>(msg.index()));
-    std::visit(Encoder{w}, msg);
-    return frame_of(w, arena);
+    return frame_of(encode_to_scratch(msg, obs::TraceContext{}), arena);
 }
 
 CO_HOT_PATH Frame encode_message(const Message& msg, const obs::TraceContext& trace,
                                  Arena& arena) {
-    if (!trace.valid()) return encode_message(msg, arena);
     CO_HOT_SCOPE("protocol.encode");
-    encode_counter().inc();
-    ByteWriter& w = scratch_writer();
-    w.u8(kTraceExtensionTag);
-    w.u64(trace.trace);
-    w.u64(trace.span);
-    w.u8(static_cast<std::uint8_t>(msg.index()));
-    std::visit(Encoder{w}, msg);
-    return frame_of(w, arena);
+    return frame_of(encode_to_scratch(msg, trace), arena);
 }
-
-namespace {
-
-/// Decodes the message body (tag + payload + exhaustion check) from `r`,
-/// which may already have consumed a trace extension prefix.
-Result<Message> decode_body(ByteReader& r) {
-    const std::uint8_t tag = r.u8();
-    Message msg;
-    switch (tag) {
-        case tag_of<Register>(): {
-            Register m;
-            m.user = r.u32();
-            m.user_name = r.str();
-            m.host_name = r.str();
-            m.app_name = r.str();
-            m.version = r.u32();
-            m.session = r.str();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<RegisterAck>(): {
-            RegisterAck m;
-            m.instance = r.u32();
-            m.sync_follows = r.boolean();
-            msg = m;
-            break;
-        }
-        case tag_of<Unregister>(): {
-            msg = Unregister{};
-            break;
-        }
-        case tag_of<RegistryQuery>(): {
-            RegistryQuery m;
-            m.request = r.u64();
-            msg = m;
-            break;
-        }
-        case tag_of<RegistryReply>(): {
-            RegistryReply m;
-            m.request = r.u64();
-            const std::uint32_t n = r.u32();
-            for (std::uint32_t i = 0; i < n && r.ok(); ++i) m.instances.push_back(get_record(r));
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<CoupleReq>(): {
-            CoupleReq m;
-            m.request = r.u64();
-            m.source = decode_object_ref(r);
-            m.dest = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<DecoupleReq>(): {
-            DecoupleReq m;
-            m.request = r.u64();
-            m.source = decode_object_ref(r);
-            m.dest = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<GroupUpdate>(): {
-            GroupUpdate m;
-            m.members = get_refs(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<LockReq>(): {
-            LockReq m;
-            m.action = r.u64();
-            m.source = decode_object_ref(r);
-            m.objects = get_refs(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<LockGrant>(): {
-            LockGrant m;
-            m.action = r.u64();
-            msg = m;
-            break;
-        }
-        case tag_of<LockDeny>(): {
-            LockDeny m;
-            m.action = r.u64();
-            m.conflicting = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<LockNotify>(): {
-            LockNotify m;
-            m.action = r.u64();
-            m.locked = r.boolean();
-            m.objects = get_refs(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<EventMsg>(): {
-            EventMsg m;
-            m.action = r.u64();
-            m.source = decode_object_ref(r);
-            m.relative_path = r.str();
-            m.event = toolkit::decode_event(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<ExecuteEvent>(): {
-            ExecuteEvent m;
-            m.action = r.u64();
-            m.source = decode_object_ref(r);
-            m.targets = get_refs(r);
-            m.relative_path = r.str();
-            m.event = toolkit::decode_event(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<ExecuteAck>(): {
-            ExecuteAck m;
-            m.action = r.u64();
-            msg = m;
-            break;
-        }
-        case tag_of<CopyTo>(): {
-            CopyTo m;
-            m.request = r.u64();
-            m.dest = decode_object_ref(r);
-            m.mode = get_mode(r);
-            m.state = toolkit::decode_ui_state(r);
-            m.semantic = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<CopyFrom>(): {
-            CopyFrom m;
-            m.request = r.u64();
-            m.source = decode_object_ref(r);
-            m.dest_path = r.str();
-            m.mode = get_mode(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<RemoteCopy>(): {
-            RemoteCopy m;
-            m.request = r.u64();
-            m.source = decode_object_ref(r);
-            m.dest = decode_object_ref(r);
-            m.mode = get_mode(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<StateQuery>(): {
-            StateQuery m;
-            m.request = r.u64();
-            m.path = r.str();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<StateReply>(): {
-            StateReply m;
-            m.request = r.u64();
-            m.path = r.str();
-            m.found = r.boolean();
-            m.state = toolkit::decode_ui_state(r);
-            m.semantic = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<ApplyState>(): {
-            ApplyState m;
-            m.request = r.u64();
-            m.dest_path = r.str();
-            m.mode = get_mode(r);
-            m.tag = get_tag(r);
-            m.state = toolkit::decode_ui_state(r);
-            m.semantic = r.bytes();
-            m.origin = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<HistorySave>(): {
-            HistorySave m;
-            m.object = decode_object_ref(r);
-            m.tag = get_tag(r);
-            m.state = toolkit::decode_ui_state(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<UndoReq>(): {
-            UndoReq m;
-            m.request = r.u64();
-            m.object = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<RedoReq>(): {
-            RedoReq m;
-            m.request = r.u64();
-            m.object = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<Command>(): {
-            Command m;
-            m.request = r.u64();
-            m.name = r.str();
-            m.target = r.u32();
-            m.payload = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<CommandDeliver>(): {
-            CommandDeliver m;
-            m.from = r.u32();
-            m.name = r.str();
-            m.payload = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<PermissionSet>(): {
-            PermissionSet m;
-            m.request = r.u64();
-            m.user = r.u32();
-            m.object = decode_object_ref(r);
-            m.rights = r.u8();
-            m.allow = r.boolean();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<Ack>(): {
-            Ack m;
-            m.request = r.u64();
-            m.code = get_code(r);
-            m.message = r.str();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<FetchState>(): {
-            FetchState m;
-            m.request = r.u64();
-            m.source = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<SetCouplingMode>(): {
-            SetCouplingMode m;
-            m.request = r.u64();
-            m.object = decode_object_ref(r);
-            m.loose = r.boolean();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<SyncRequest>(): {
-            SyncRequest m;
-            m.request = r.u64();
-            m.object = decode_object_ref(r);
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<SyncBegin>(): {
-            SyncBegin m;
-            m.base_seq = r.u64();
-            msg = m;
-            break;
-        }
-        case tag_of<SyncState>(): {
-            SyncState m;
-            m.state = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<SyncStep>(): {
-            SyncStep m;
-            m.seq = r.u64();
-            m.origin = r.u32();
-            m.frame = r.bytes();
-            msg = std::move(m);
-            break;
-        }
-        case tag_of<SyncEnd>(): {
-            SyncEnd m;
-            m.last_seq = r.u64();
-            msg = m;
-            break;
-        }
-        default:
-            return Error{ErrorCode::kBadMessage, "unknown message tag " + std::to_string(tag)};
-    }
-    if (!r.exhausted()) {
-        return Error{ErrorCode::kBadMessage,
-                     std::string{"malformed "} + std::string{message_name(msg)} + " frame"};
-    }
-    return msg;
-}
-
-}  // namespace
 
 Result<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
     ByteReader r{frame};
@@ -641,9 +230,7 @@ Result<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
             return Error{ErrorCode::kBadMessage, "malformed trace-context extension"};
         }
     }
-    auto msg = decode_body(r);
-    if (!msg) return msg.error();
-    out.message = std::move(msg).value();
+    if (Status body = decode_body(r, out.message); !body) return body.error();
     return out;
 }
 
@@ -654,69 +241,20 @@ Result<Message> decode_message(std::span<const std::uint8_t> frame) {
 }
 
 std::string_view message_name(const Message& msg) noexcept {
-    struct Namer {
-        std::string_view operator()(const Register&) { return "Register"; }
-        std::string_view operator()(const RegisterAck&) { return "RegisterAck"; }
-        std::string_view operator()(const Unregister&) { return "Unregister"; }
-        std::string_view operator()(const RegistryQuery&) { return "RegistryQuery"; }
-        std::string_view operator()(const RegistryReply&) { return "RegistryReply"; }
-        std::string_view operator()(const CoupleReq&) { return "CoupleReq"; }
-        std::string_view operator()(const DecoupleReq&) { return "DecoupleReq"; }
-        std::string_view operator()(const GroupUpdate&) { return "GroupUpdate"; }
-        std::string_view operator()(const LockReq&) { return "LockReq"; }
-        std::string_view operator()(const LockGrant&) { return "LockGrant"; }
-        std::string_view operator()(const LockDeny&) { return "LockDeny"; }
-        std::string_view operator()(const LockNotify&) { return "LockNotify"; }
-        std::string_view operator()(const EventMsg&) { return "EventMsg"; }
-        std::string_view operator()(const ExecuteEvent&) { return "ExecuteEvent"; }
-        std::string_view operator()(const ExecuteAck&) { return "ExecuteAck"; }
-        std::string_view operator()(const CopyTo&) { return "CopyTo"; }
-        std::string_view operator()(const CopyFrom&) { return "CopyFrom"; }
-        std::string_view operator()(const RemoteCopy&) { return "RemoteCopy"; }
-        std::string_view operator()(const StateQuery&) { return "StateQuery"; }
-        std::string_view operator()(const StateReply&) { return "StateReply"; }
-        std::string_view operator()(const ApplyState&) { return "ApplyState"; }
-        std::string_view operator()(const HistorySave&) { return "HistorySave"; }
-        std::string_view operator()(const UndoReq&) { return "UndoReq"; }
-        std::string_view operator()(const RedoReq&) { return "RedoReq"; }
-        std::string_view operator()(const Command&) { return "Command"; }
-        std::string_view operator()(const CommandDeliver&) { return "CommandDeliver"; }
-        std::string_view operator()(const PermissionSet&) { return "PermissionSet"; }
-        std::string_view operator()(const Ack&) { return "Ack"; }
-        std::string_view operator()(const FetchState&) { return "FetchState"; }
-        std::string_view operator()(const SetCouplingMode&) { return "SetCouplingMode"; }
-        std::string_view operator()(const SyncRequest&) { return "SyncRequest"; }
-        std::string_view operator()(const SyncBegin&) { return "SyncBegin"; }
-        std::string_view operator()(const SyncState&) { return "SyncState"; }
-        std::string_view operator()(const SyncStep&) { return "SyncStep"; }
-        std::string_view operator()(const SyncEnd&) { return "SyncEnd"; }
-    };
-    return std::visit(Namer{}, msg);
+    return std::visit([](const auto& m) { return std::decay_t<decltype(m)>::kName; }, msg);
 }
 
 std::vector<std::uint8_t> encode_sync_state(const SyncStateSection& s) {
     ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(s.registry.size()));
-    for (const auto& rec : s.registry) put_record(w, rec);
-    w.u32(static_cast<std::uint32_t>(s.groups.size()));
-    for (const auto& group : s.groups) put_refs(w, group);
-    put_refs(w, s.loose);
-    return w.data();
+    encode_field(w, s);
+    return w.take();
 }
 
 Result<SyncStateSection> decode_sync_state(std::span<const std::uint8_t> bytes) {
     ByteReader r{bytes};
     SyncStateSection s;
-    const std::uint32_t nr = r.u32();
-    s.registry.reserve(std::min<std::uint32_t>(nr, 4096));
-    for (std::uint32_t i = 0; i < nr && r.ok(); ++i) s.registry.push_back(get_record(r));
-    const std::uint32_t ng = r.u32();
-    s.groups.reserve(std::min<std::uint32_t>(ng, 4096));
-    for (std::uint32_t i = 0; i < ng && r.ok(); ++i) s.groups.push_back(get_refs(r));
-    s.loose = get_refs(r);
-    if (!r.ok() || !r.exhausted()) {
-        return Error{ErrorCode::kBadMessage, "malformed sync-state section"};
-    }
+    decode_field(r, s);
+    if (!r.exhausted()) return Error{ErrorCode::kBadMessage, "malformed sync-state section"};
     return s;
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cosoft/common/bytes.hpp"
@@ -113,22 +114,42 @@ TEST(CodecAdversarial, GarbageFramesFailGracefully) {
     }
 }
 
+/// One message per enum field on the wire, carrying the given enum values.
+std::vector<std::pair<std::string, Message>> enum_field_cases(protocol::MergeMode mode, protocol::HistoryTag tag,
+                                                              ErrorCode code) {
+    const ObjectRef a{1, "a"};
+    return {
+        {"CopyTo.mode", protocol::CopyTo{3, a, mode, {}, {}}},
+        {"CopyFrom.mode", protocol::CopyFrom{3, a, "b", mode}},
+        {"RemoteCopy.mode", protocol::RemoteCopy{3, a, a, mode}},
+        {"ApplyState.mode", protocol::ApplyState{3, "d", mode, protocol::HistoryTag::kNormal, {}, {}, a}},
+        {"ApplyState.tag", protocol::ApplyState{3, "d", protocol::MergeMode::kStrict, tag, {}, {}, a}},
+        {"HistorySave.tag", protocol::HistorySave{a, tag, {}}},
+        {"Ack.code", protocol::Ack{3, code, "x"}},
+    };
+}
+
+template <typename E>
+constexpr E one_past_max() {
+    return static_cast<E>(static_cast<std::uint8_t>(enum_max(E{})) + 1);
+}
+
 TEST(CodecAdversarial, OutOfRangeEnumBytesAreRejected) {
-    // MergeMode lives right after the varint request + dest ref in CopyFrom's
-    // encoding; rather than hardcode the offset, brute-force every byte to
-    // the out-of-range value and require that no mutation crashes and at
-    // least one is rejected (the enum byte itself).
-    const auto bytes =
-        protocol::encode_message(protocol::CopyFrom{3, ObjectRef{1, "a"}, "b", protocol::MergeMode::kStrict})
-            .to_vector();
-    bool some_rejected = false;
-    for (std::size_t i = 1; i < bytes.size(); ++i) {  // keep the message tag intact
-        auto mutated = bytes;
-        mutated[i] = 0x63;  // 99: out of range for every protocol enum
-        const auto decoded = protocol::decode_message(mutated);
-        if (!decoded) some_rejected = true;
+    // The largest valid value of each enum decodes; one above it is refused.
+    for (const auto& [field, msg] :
+         enum_field_cases(enum_max(protocol::MergeMode{}), enum_max(protocol::HistoryTag{}), enum_max(ErrorCode{}))) {
+        const auto decoded = protocol::decode_message(protocol::encode_message(msg));
+        ASSERT_TRUE(decoded.is_ok()) << field << ": " << decoded.error().message;
+        EXPECT_EQ(decoded.value(), msg) << field;
     }
-    EXPECT_TRUE(some_rejected);
+    const auto cases = enum_field_cases(one_past_max<protocol::MergeMode>(), one_past_max<protocol::HistoryTag>(),
+                                        one_past_max<ErrorCode>());
+    ASSERT_EQ(cases.size(), 7u);
+    for (const auto& [field, msg] : cases) {
+        const auto decoded = protocol::decode_message(protocol::encode_message(msg));
+        ASSERT_FALSE(decoded.is_ok()) << field << " accepted an out-of-range enum byte";
+        EXPECT_EQ(decoded.code(), ErrorCode::kBadMessage) << field;
+    }
 }
 
 TEST(CodecAdversarial, DeepNestingBombIsRejected) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cosoft/apps/local_session.hpp"
@@ -90,12 +91,31 @@ TEST(ConformanceChecker, AckToUnknownRequestIsFlagged) {
 }
 
 TEST(ConformanceChecker, RequestResponsePairingConsumesOnce) {
-    ConformanceChecker c = registered_checker();
-    c.observe(kC2S, protocol::CoupleReq{5, {}, {}});
-    c.observe(kS2C, protocol::Ack{5, ErrorCode::kOk, ""});
-    EXPECT_TRUE(c.violations().empty());
-    c.observe(kS2C, protocol::Ack{5, ErrorCode::kOk, ""});  // answered twice
-    EXPECT_EQ(c.violations().size(), 1u);
+    // Every request type with a Reply, answered by that reply type.
+    const protocol::Ack ack{5, ErrorCode::kOk, ""};
+    const std::vector<std::pair<Message, Message>> exchanges = {
+        {protocol::RegistryQuery{5}, protocol::RegistryReply{5, {}}},
+        {protocol::CoupleReq{5, {}, {}}, ack},
+        {protocol::DecoupleReq{5, {}, {}}, ack},
+        {protocol::CopyTo{5, {}, {}, {}, {}}, ack},
+        {protocol::CopyFrom{5, {}, "", {}}, ack},
+        {protocol::RemoteCopy{5, {}, {}, {}}, ack},
+        {protocol::UndoReq{5, {}}, ack},
+        {protocol::RedoReq{5, {}}, ack},
+        {protocol::Command{5, "f", 0, {}}, ack},
+        {protocol::PermissionSet{5, 1, {}, 0, true}, ack},
+        {protocol::FetchState{5, {}}, protocol::StateReply{5, "", false, {}, {}}},
+        {protocol::SetCouplingMode{5, {}, true}, ack},
+        {protocol::SyncRequest{5, {}}, ack},
+    };
+    for (const auto& [request, reply] : exchanges) {
+        ConformanceChecker c = registered_checker();
+        c.observe(kC2S, request);
+        c.observe(kS2C, reply);
+        EXPECT_TRUE(c.violations().empty()) << protocol::message_name(request);
+        c.observe(kS2C, reply);  // answered twice
+        EXPECT_EQ(c.violations().size(), 1u) << protocol::message_name(request);
+    }
 }
 
 TEST(ConformanceChecker, ReusedRequestIdIsFlagged) {

@@ -1,6 +1,8 @@
 // Unit tests for the mini relational engine behind TORI.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cosoft/db/database.hpp"
 
 namespace cosoft::db {
@@ -58,6 +60,11 @@ struct OpCase {
     std::size_t expected;
 };
 
+// gtest prints the parameter into each ctest name. Without this it dumps
+// the struct's bytes, including the two string-literal addresses, which
+// move from run to run under ASLR. The operator is already in the name.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.column << " '" << c.operand << "'"; }
+
 class CompareOpTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(CompareOpTest, MatchesExpectedRowCount) {
@@ -68,9 +75,6 @@ TEST_P(CompareOpTest, MatchesExpectedRowCount) {
     EXPECT_EQ(r.value().rows.size(), c.expected) << to_string(c.op) << " " << c.operand;
 }
 
-// Static storage, so the padding after `op` is zero: gtest prints an OpCase
-// byte for byte into each ctest name, and padding copied from stack
-// temporaries made those names change from build to build.
 constexpr OpCase kOpCases[] = {
     {CompareOp::kEquals, "author", "Zhao", 1},
     {CompareOp::kNotEquals, "author", "Zhao", 3},
