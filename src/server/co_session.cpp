@@ -6,6 +6,7 @@
 
 #include "cosoft/common/check.hpp"
 #include "cosoft/common/hot_path.hpp"
+#include "cosoft/net/tcp.hpp"
 #include "cosoft/obs/flight_recorder.hpp"
 
 namespace cosoft::server {
@@ -34,6 +35,12 @@ class GhostChannel final : public net::Channel {
 };
 
 constexpr std::uint8_t kSnapshotVersion = 1;
+
+/// Sends the dispatching worker's strand batch has corked so far leave now.
+/// A no-op outside a worker batch (inline dispatch, replay, tests).
+void flush_corked_sends() {
+    if (net::SendCork* cork = net::SendCork::active()) cork->flush();
+}
 
 }  // namespace
 
@@ -271,6 +278,15 @@ std::vector<std::string> CoSession::check_invariants() const {
             out.push_back("server: pending action of instance " + std::to_string(pending.key.instance) +
                           " awaits acks before its event arrived");
         }
+        const auto [first, last] = pending_by_action_.equal_range(pending.key.action);
+        if (std::count_if(first, last, [h = h](const auto& kv) { return kv.second == h; }) != 1) {
+            out.push_back("server: pending action of instance " + std::to_string(pending.key.instance) +
+                          " is not indexed exactly once by its action id");
+        }
+    }
+    if (pending_by_action_.size() != pending_actions_.size()) {
+        out.push_back("server: action-id index holds " + std::to_string(pending_by_action_.size()) +
+                      " entries for " + std::to_string(pending_actions_.size()) + " pending actions");
     }
 
     // Rules are installed only by an object's owner and dropped on cleanup,
@@ -668,7 +684,7 @@ void CoSession::handle(InstanceId from, const LockReq& msg) {
     PendingAction pending;
     pending.key = key;
     pending.trace = span.context();
-    pending_actions_[action_hash(key)] = pending;
+    put_pending(std::move(pending));
 
     notify_locks(group, msg.source, true, msg.action);
     send(from, LockGrant{msg.action});
@@ -712,7 +728,9 @@ void CoSession::handle(InstanceId from, EventMsg msg) {
 
     // Loose group members were excluded from the lock set: queue their
     // re-executions for their next synchronization instead (flushed later as
-    // single-target orders).
+    // single-target orders). With no loose object in the session there is
+    // nothing to find, so the group walk is skipped.
+    if (loose_objects_.empty()) return;
     for (const ObjectRef& target : graph_.group_of(msg.source)) {
         if (target == msg.source || !loose_objects_.contains(target)) continue;
         metrics_.events_deferred.inc();
@@ -722,12 +740,15 @@ void CoSession::handle(InstanceId from, EventMsg msg) {
 
 void CoSession::handle(InstanceId from, const ExecuteAck& msg) {
     const StageTimer timer{metrics_.stage_ack_us};
-    // The ack may come from any instance that re-executed; find the action
-    // by scanning pending actions for one awaiting this instance.
-    for (auto& [h, pending] : pending_actions_) {
+    // The ack may come from any instance that re-executed; of the actions
+    // with this id, it belongs to the one still awaiting this instance.
+    const auto [first, last] = pending_by_action_.equal_range(msg.action);
+    for (auto idx = first; idx != last; ++idx) {
+        const auto it = pending_actions_.find(idx->second);
+        if (it == pending_actions_.end()) continue;
+        PendingAction& pending = it->second;
         const auto pi = pending.per_instance.find(from);
         if (pi == pending.per_instance.end() || pi->second == 0) continue;
-        if (pending.key.action != msg.action) continue;
         pi->second -= 1;
         pending.awaiting -= 1;
         if (pending.awaiting == 0) {
@@ -749,10 +770,26 @@ void CoSession::finish_action(const LockTable::ActionKey& key) {
     const obs::ScopedSpan span{"server.unlock", "server", parent, finished.action};
     const obs::TraceContext restore = current_trace_;
     current_trace_ = span.context().valid() ? span.context() : restore;
-    pending_actions_.erase(action_hash(finished));
+    const std::uint64_t h = action_hash(finished);
+    pending_actions_.erase(h);
+    const auto [first, last] = pending_by_action_.equal_range(finished.action);
+    for (auto idx = first; idx != last; ++idx) {
+        if (idx->second == h) {
+            pending_by_action_.erase(idx);
+            break;
+        }
+    }
     const auto released = locks_.unlock_action(finished);
     if (!released.empty()) notify_locks(released, ObjectRef{}, false, finished.action);
     current_trace_ = restore;
+}
+
+void CoSession::put_pending(PendingAction pending) {
+    const std::uint64_t h = action_hash(pending.key);
+    const ActionId action = pending.key.action;
+    if (pending_actions_.insert_or_assign(h, std::move(pending)).second) {
+        pending_by_action_.emplace(action, h);
+    }
 }
 
 // --- sync-by-state (§3.1) -------------------------------------------------------
@@ -1011,6 +1048,10 @@ void CoSession::pump() {
     // one pump() leaves the session fully drained and durable.
     for (int round = 0; round < 64; ++round) {
         const bool flushed = !staged_.empty();
+        // Frames this dispatch corked leave before the journal I/O does: a
+        // write and an fsync must not sit between a broadcast and its
+        // partners. (They still see it before it is durable, as ever.)
+        if (flushed) flush_corked_sends();
         if (persist_ != nullptr) {
             for (const StagedRecord& rec : staged_) {
                 if (rec.type == SessionJournal::RecordType::kFrame) {
@@ -1030,6 +1071,7 @@ void CoSession::pump() {
         if (!flushed && !promoted) break;
     }
     if (persist_ != nullptr && persist_->should_compact()) {
+        flush_corked_sends();
         ByteWriter image;
         snapshot(image);
         (void)persist_->compact(image.data());
@@ -1224,6 +1266,7 @@ bool CoSession::restore(ByteReader& r) {
         history_ = HistoryStore{};
         permissions_ = PermissionTable{};
         pending_actions_.clear();
+        pending_by_action_.clear();
         pending_copies_.clear();
         next_server_request_ = 1;
         loose_objects_.clear();
@@ -1272,7 +1315,7 @@ bool CoSession::restore(ByteReader& r) {
             pending.per_instance[inst] = r.u64();
         }
         if (!r.ok()) break;
-        pending_actions_[action_hash(pending.key)] = std::move(pending);
+        put_pending(std::move(pending));
     }
 
     const std::uint32_t ncopies = r.u32();

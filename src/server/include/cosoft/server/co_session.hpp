@@ -300,6 +300,9 @@ class CoSession {
     void notify_locks(const std::vector<ObjectRef>& objects, const ObjectRef& source, bool locked,
                       protocol::ActionId action);
     void finish_action(const LockTable::ActionKey& key);
+    /// Inserts (or replaces) a pending action, keeping pending_by_action_ in
+    /// step with pending_actions_.
+    void put_pending(PendingAction pending);
     /// Applies the undo/redo state `state` to `object`'s owner.
     void send_history_apply(const ObjectRef& object, toolkit::UiState state, protocol::HistoryTag tag);
 
@@ -339,6 +342,11 @@ class CoSession {
 
     CO_STRAND_CONFINED std::unordered_map<std::uint64_t, PendingAction>
         pending_actions_;  // keyed by hash(key)
+    /// pending_actions_ by action id -> hash(key), one entry per action: an
+    /// ExecuteAck names only the action id, and this finds its action
+    /// without a scan. Ids are minted per client, so one id may name the
+    /// actions of several holders.
+    CO_STRAND_CONFINED std::unordered_multimap<protocol::ActionId, std::uint64_t> pending_by_action_;
     CO_STRAND_CONFINED std::unordered_map<std::uint64_t, PendingCopy>
         pending_copies_;  // keyed by server req id
     std::uint64_t next_server_request_ = 1;

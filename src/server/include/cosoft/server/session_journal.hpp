@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -66,6 +67,10 @@ struct SessionJournalOptions {
 struct JournalFaults {
     std::uint32_t fail_fsyncs = 0;    ///< next N fsyncs report failure
     std::uint32_t short_writes = 0;   ///< next N appends write only half the record
+    /// Runs on the appending thread before every record append: lets tests
+    /// observe what else has happened by the time the journal is written,
+    /// such as frames already on the wire.
+    std::function<void()> before_append;
 };
 
 class SessionJournal {

@@ -20,6 +20,9 @@
 //    forwarded, not dispatched, so exactly one strand ever pops a given
 //    inbox and per-connection frame order is preserved across the
 //    lobby-to-session handoff.
+//  - A worker corks its TCP sends for the length of a strand batch
+//    (net::SendCork): each connection the batch touched flushes once, with
+//    mu_ released, so the batch's frames to one client share one sendmsg.
 //
 // With `workers == 0` the manager dispatches inline on whatever thread
 // delivers the frame (SimNetwork's event loop, a single TCP pump thread, a
@@ -59,6 +62,10 @@
 #include "cosoft/obs/watchdog.hpp"
 #include "cosoft/protocol/messages.hpp"
 #include "cosoft/server/co_session.hpp"
+
+namespace cosoft::net {
+class SendCork;
+}  // namespace cosoft::net
 
 namespace cosoft::server {
 
@@ -244,9 +251,12 @@ class SessionManager {
     /// Processes one token for `id` on `strand` (the strand is held by the
     /// calling worker). Returns with `lock` re-held; channels whose
     /// connection departed are parked in `graveyard` so their (blocking)
-    /// destructors run outside mu_.
+    /// destructors run outside mu_. A session dispatch flushes the batch's
+    /// `cork` after delivering — fully when `last_in_batch`, else only once
+    /// its delay bound is due — while mu_ is still released.
     void process_token(MutexLock& lock, Strand* strand, InstanceId id,
-                       std::vector<std::shared_ptr<net::Channel>>& graveyard) CO_REQUIRES(mu_);
+                       std::vector<std::shared_ptr<net::Channel>>& graveyard,
+                       net::SendCork& cork, bool last_in_batch) CO_REQUIRES(mu_);
     /// Lobby dispatch of one frame: Register routes, a registry query is
     /// refused, everything else is dropped (unregistered traffic).
     void lobby_dispatch(MutexLock& lock, InstanceId id, protocol::Frame frame) CO_REQUIRES(mu_);

@@ -289,6 +289,7 @@ std::uint64_t SessionJournal::append_record(RecordType type, std::uint32_t origi
                                             std::string_view name) {
     if (fd_ < 0 || failed_) return 0;
     const std::uint64_t seq = next_seq_;
+    if (faults_.before_append) faults_.before_append();
 
     ByteWriter payload;
     payload.u8(static_cast<std::uint8_t>(type));

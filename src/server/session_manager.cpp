@@ -337,6 +337,12 @@ CO_HOT_PATH void SessionManager::run_strand(MutexLock& lock, Strand* strand) {
     if (progress != nullptr) progress->begin_work();
     std::size_t processed = 0;
     std::vector<std::shared_ptr<net::Channel>> graveyard;
+    // Worker batches cork their TCP sends: a frame the batch sends to an
+    // idle connection only enqueues, and each touched connection flushes
+    // once — in the unlocked window of the batch's last dispatch, or below —
+    // so the batch's frames to one client leave in one gathered sendmsg.
+    // Inline mode keeps its synchronous call chain: the cork stays inert.
+    net::SendCork cork{!workers_.empty()};
     do {
         // Process the tokens present at entry; frames that arrive during the
         // batch reschedule the strand behind other runnable strands.
@@ -344,7 +350,7 @@ CO_HOT_PATH void SessionManager::run_strand(MutexLock& lock, Strand* strand) {
         while (budget-- > 0 && !strand->tokens.empty()) {
             const InstanceId id = strand->tokens.front();
             strand->tokens.pop_front();
-            process_token(lock, strand, id, graveyard);
+            process_token(lock, strand, id, graveyard, cork, /*last_in_batch=*/budget == 0);
             ++processed;
             // One token dispatched = one unit of forward progress; only a
             // batch wedged inside a single dispatch can age past the stall
@@ -352,6 +358,13 @@ CO_HOT_PATH void SessionManager::run_strand(MutexLock& lock, Strand* strand) {
             if (progress != nullptr) progress->progress();
         }
     } while (workers_.empty() && !strand->tokens.empty());
+    if (!cork.empty()) {
+        // The last token sent nothing through an unlocked window (a lobby
+        // reply, a departure): flush here, never under mu_.
+        lock.unlock();
+        cork.flush();
+        lock.lock();
+    }
 
     if (strand->tokens.empty()) strand->queue_oldest_ns = 0;
     if (progress != nullptr) {
@@ -381,7 +394,8 @@ CO_HOT_PATH void SessionManager::run_strand(MutexLock& lock, Strand* strand) {
 }
 
 void SessionManager::process_token(MutexLock& lock, Strand* strand, InstanceId id,
-                                   std::vector<std::shared_ptr<net::Channel>>& graveyard) {
+                                   std::vector<std::shared_ptr<net::Channel>>& graveyard,
+                                   net::SendCork& cork, bool last_in_batch) {
     const auto it = conns_.find(id);
     if (it == conns_.end() || it->second.departed) return;  // stale token
     Conn& conn = it->second;
@@ -410,8 +424,20 @@ void SessionManager::process_token(MutexLock& lock, Strand* strand, InstanceId i
             // access to this CoSession, and `conn` cannot be erased while
             // its owning strand is running it.
             if (need_adopt) session->adopt(id, std::move(channel));
-            if (dispatch_hook_) dispatch_hook_(session->name());
+            if (dispatch_hook_) {
+                // A hook may stall this strand: what earlier tokens sent
+                // must not wait behind it.
+                cork.flush();
+                dispatch_hook_(session->name());
+            }
             session->deliver(id, frame);
+            // Token boundary: the cork's bounds are checked here, in the
+            // unlocked window the dispatch already pays for.
+            if (last_in_batch) {
+                cork.flush();
+            } else {
+                cork.flush_if_due();
+            }
             lock.lock();
         }
     }
