@@ -7,8 +7,8 @@
 //
 //   (a) channel level: broadcasts/sec and heap allocations per broadcast for
 //       shared-frame vs per-recipient-encode fan-out over SimNetwork pipes;
-//   (b) server level: encodes per command broadcast measured from CoServer
-//       stats (must be exactly 1 at any width);
+//   (b) server level: encodes per command broadcast measured from the
+//       session's stats (must be exactly 1 at any width);
 //   (c) google-benchmark microbenchmarks of the same two fan-out loops.
 //
 // `--smoke` trims iteration counts and skips the microbenchmarks so the
@@ -104,7 +104,7 @@ struct FanoutSample {
     double speedup = 0;
     double allocs_shared = 0;         ///< heap allocations per broadcast
     double allocs_per_recipient = 0;
-    double encodes_per_broadcast = 0; ///< server-side, from CoServer stats
+    double encodes_per_broadcast = 0; ///< server-side, from the session's stats
 };
 
 template <typename Fn>

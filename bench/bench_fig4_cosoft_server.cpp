@@ -1,5 +1,6 @@
 // F4 — Figure 4: the COSOFT server-client architecture, measured on the
-// real implementation (CoServer + CoApp over in-process channels).
+// real implementation (a SessionManager's default session + CoApp over
+// in-process channels).
 //
 // Three parts:
 //   (a) a deterministic message-cost table: how many protocol messages one

@@ -16,7 +16,7 @@
 
 #include "cosoft/apps/classroom.hpp"
 #include "cosoft/net/sim_network.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "cosoft/server/session_manager.hpp"
 
 using namespace cosoft;
 
@@ -24,12 +24,13 @@ int main() {
     std::printf("== COSOFT classroom: teacher liveboard + 3 student workstations ==\n\n");
 
     net::SimNetwork network;
-    server::CoServer server;
+    server::SessionManager manager;
+    server::CoSession& server = manager.default_session();  // the coupling session every app joins
     const net::PipeConfig wire{.latency = 3 * sim::kMillisecond};
 
     const auto attach = [&](client::CoApp& app) {
         auto [client_end, server_end] = network.make_pipe(wire);
-        server.attach(server_end);
+        manager.attach(server_end);
         app.connect(client_end);
     };
 

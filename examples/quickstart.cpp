@@ -12,7 +12,7 @@
 
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/net/sim_network.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "cosoft/server/session_manager.hpp"
 
 using namespace cosoft;
 
@@ -30,14 +30,15 @@ int main() {
 
     // The central server and a deterministic in-process network.
     net::SimNetwork network;
-    server::CoServer server;
+    server::SessionManager manager;
+    server::CoSession& server = manager.default_session();  // the coupling session every app joins
 
     // Two independent applications, each with its own widget tree.
     client::CoApp alice{"editorA", "alice", /*user=*/1};
     client::CoApp bob{"editorB", "bob", /*user=*/2};
     for (client::CoApp* app : {&alice, &bob}) {
         auto [client_end, server_end] = network.make_pipe({.latency = 2 * sim::kMillisecond});
-        server.attach(server_end);
+        manager.attach(server_end);
         app->connect(client_end);
         (void)app->ui().root().add_child(toolkit::WidgetClass::kTextField, "field");
     }

@@ -17,12 +17,15 @@
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/net/tcp.hpp"
 #include "cosoft/obs/trace.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "cosoft/server/session_manager.hpp"
 
 using namespace cosoft;
 
 namespace {
 
+/// Polls the client channels until `pred` holds or the deadline passes. The
+/// server's channels need no polling: the manager runs them in reactor
+/// delivery.
 bool pump_until(std::vector<std::shared_ptr<net::TcpChannel>>& channels, const std::function<bool()>& pred,
                 int timeout_ms = 3000) {
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
@@ -46,7 +49,11 @@ int main() {
     }
     std::printf("server listening on 127.0.0.1:%u\n", listener.value()->port());
 
-    server::CoServer server;
+    // The central server: one dispatch worker; the accepted sockets run on
+    // the process reactor.
+    server::SessionManagerOptions options;
+    options.workers = 1;
+    server::SessionManager server{options};
     std::vector<std::shared_ptr<net::TcpChannel>> pump;
 
     client::CoApp alice{"editor", "alice", 1};
@@ -66,7 +73,6 @@ int main() {
         app->connect(conn.value());
         (void)app->ui().root().add_child(toolkit::WidgetClass::kTextField, "field");
         pump.push_back(conn.value());
-        pump.push_back(accepted.value());
     }
 
     if (!pump_until(pump, [&] { return alice.online() && bob.online(); })) {
@@ -92,7 +98,7 @@ int main() {
     }
     std::printf("alice typed -> bob sees: \"%s\"\n", bob.ui().find("field")->text("value").c_str());
 
-    pump_until(pump, [&] { return server.locks().locked_count() == 0; });
+    pump_until(pump, [&] { return server.status().sessions.at(0).locks_held == 0; });
     obs::Tracer::instance().set_enabled(false);
 
     std::printf("\ntraced stages of that one coupled event:\n");

@@ -12,7 +12,7 @@
 
 #include "cosoft/apps/tori.hpp"
 #include "cosoft/net/sim_network.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "cosoft/server/session_manager.hpp"
 #include "cosoft/toolkit/render.hpp"
 
 using namespace cosoft;
@@ -36,7 +36,7 @@ int main() {
     std::printf("== Cooperative TORI: joint retrieval over different databases ==\n\n");
 
     net::SimNetwork network;
-    server::CoServer server;
+    server::SessionManager server;
     const auto attach = [&](client::CoApp& app) {
         auto [client_end, server_end] = network.make_pipe({.latency = 2 * sim::kMillisecond});
         server.attach(server_end);

@@ -10,7 +10,7 @@
 
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/net/sim_network.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "cosoft/server/session_manager.hpp"
 
 using namespace cosoft;
 
@@ -31,14 +31,15 @@ int main() {
     std::printf("== Whiteboard: dynamic sub-groups over coupled canvases ==\n\n");
 
     net::SimNetwork network;
-    server::CoServer server;
+    server::SessionManager manager;
+    server::CoSession& server = manager.default_session();  // the coupling session every app joins
     std::vector<std::unique_ptr<client::CoApp>> owned;
     std::vector<client::CoApp*> p;
     for (int i = 0; i < 4; ++i) {
         owned.push_back(std::make_unique<client::CoApp>("whiteboard", "user" + std::to_string(i),
                                                         static_cast<UserId>(20 + i)));
         auto [client_end, server_end] = network.make_pipe({.latency = sim::kMillisecond});
-        server.attach(server_end);
+        manager.attach(server_end);
         owned.back()->connect(client_end);
         (void)owned.back()->ui().root().add_child(toolkit::WidgetClass::kCanvas, "canvas");
         p.push_back(owned.back().get());

@@ -2,7 +2,7 @@
 """Hot-path discipline static pass (ISSUE 7).
 
 Walks the call graph from every function annotated CO_HOT_PATH (the
-broadcast/dispatch spine: CoSession::broadcast / handle_frame,
+broadcast/dispatch spine: CoSession::broadcast / deliver,
 SessionManager::run_strand, protocol::encode_message, TcpChannel::send /
 service, Reactor::loop) and reports every reachable
 

@@ -15,7 +15,6 @@
 #include "cosoft/common/check.hpp"
 #include "cosoft/net/sim_network.hpp"
 #include "cosoft/protocol/conformance.hpp"
-#include "cosoft/server/co_server.hpp"  // CoServer compat spelling for embedders
 #include "cosoft/server/session_manager.hpp"
 
 namespace cosoft::apps {

@@ -1,7 +1,7 @@
 // Machine-checked hot-path discipline, part 1: annotations and the runtime
 // allocation/blocking accountant.
 //
-// The broadcast/dispatch spine (CoSession::broadcast / handle_frame,
+// The broadcast/dispatch spine (CoSession::broadcast / deliver,
 // SessionManager::run_strand, protocol::encode_message, TcpChannel::send /
 // service, Reactor::loop) promises to stay cheap: no unbudgeted heap
 // allocation, no blocking waits. Two mechanisms make that promise

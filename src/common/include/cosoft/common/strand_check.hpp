@@ -15,19 +15,18 @@
 //    checker binds to the owning context at first touch and fails any
 //    access from a foreign one through cosoft::detail::check_failed.
 //
-// Binding semantics (devised for the repo's three real usage shapes):
-//  - Strand vs strand: a session's strand migrates across workers, so the
-//    bound *strand token* is the identity; the bound thread just tracks the
-//    latest worker. Two different strands touching the same object is
-//    always a violation.
-//  - Thread fallback: single-threaded embedders (SimNetwork, tests, the
-//    model checker, inline-mode managers) never enter a StrandScope; the
-//    checker then falls back to thread confinement, and a first touch from
-//    outside any strand later "upgrades" to the first strand that matches
-//    the bound thread.
-//  - Strict mode: a manager running workers > 0 documents that embedders
-//    must not touch sessions while traffic flows. set_strict(true) removes
-//    the thread fallback: once bound, only the owning strand may touch.
+// Binding semantics:
+//  - Strand confinement (the default): the checker binds to the first
+//    strand that touches it. A session's strand migrates across workers,
+//    so the bound *strand token* is the identity; the bound thread just
+//    tracks the latest worker. A touch from a different strand, or from
+//    outside any strand, is always a violation — every mutating call into
+//    a CoSession arrives through the manager's run_strand or its journal
+//    replay scope, in inline mode too.
+//  - Thread-only mode (set_thread_only): single-threaded harnesses that
+//    many strands legally share on one thread (SimNetwork, the model
+//    checker's ScheduleController) ignore strand identity and confine the
+//    object to its first-touch thread.
 //
 // CO_STRAND_CONFINED is a declaration-site marker (expands to nothing):
 // it tags the members whose safety rests on the strand discipline rather
@@ -85,17 +84,14 @@ class StrandChecker {
   public:
     explicit StrandChecker(const char* name) noexcept : name_(name) {}
 
-    /// Binds to the calling context at first touch; fails (violation
-    /// handler, default abort) on access from a foreign context.
+    /// Binds to the calling strand at first touch; fails (violation
+    /// handler, default abort) on access from a foreign strand or from
+    /// outside any strand.
     void assert_on_strand() const;
 
     /// Forgets the binding: the next touch re-binds. Call at ownership
     /// hand-off points (e.g. a session rebound to a new strand).
     void detach() noexcept;
-
-    /// Strict mode: once bound to a strand, only that strand may touch —
-    /// no bare-thread fallback. Set when the owning manager runs workers.
-    void set_strict(bool strict) noexcept;
 
     /// Thread-only mode: strand identity is ignored and the object is
     /// confined to its first-touch thread. For single-threaded embedder
@@ -108,10 +104,8 @@ class StrandChecker {
     const char* name_;
     mutable std::mutex mu_;  // raw std::mutex on purpose: checker internals
                              // must not appear in the lock-order graph
-    mutable bool bound_ = false;
-    mutable StrandToken strand_ = nullptr;  ///< owning strand (null: none seen)
-    mutable const void* thread_ = nullptr;  ///< latest owning thread
-    bool strict_ = false;
+    mutable StrandToken strand_ = nullptr;  ///< owning strand (null: unbound)
+    mutable const void* thread_ = nullptr;  ///< latest owning thread (null: unbound)
     bool thread_only_ = false;
 };
 
@@ -131,7 +125,6 @@ class StrandChecker {
     explicit StrandChecker(const char*) noexcept {}
     void assert_on_strand() const noexcept {}
     void detach() noexcept {}
-    void set_strict(bool) noexcept {}
     void set_thread_only(bool) noexcept {}
 };
 

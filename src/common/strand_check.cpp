@@ -127,54 +127,31 @@ void StrandChecker::assert_on_strand() const {
     const StrandToken s = strand::current();
     const void* t = strand::this_thread_token();
     std::lock_guard<std::mutex> lock{mu_};
-    if (!bound_) {
-        bound_ = true;
-        strand_ = s;
-        thread_ = t;
-        return;
-    }
     if (thread_only_) {
         // Strand identity is irrelevant: many strands legally share this
         // object on its one owning thread (inline dispatch harnesses).
-        if (thread_ == t) return;
-        strand::report_violation(name_, strand_, thread_, s, t, "touched from a different thread");
-        return;
-    }
-    if (strand_ != nullptr && s != nullptr) {
-        if (strand_ == s) {
-            thread_ = t;  // same strand on a (possibly) new worker: rebind
-            return;
+        if (thread_ == nullptr) thread_ = t;
+        if (thread_ != t) {
+            strand::report_violation(name_, strand_, thread_, s, t, "touched from a different thread");
         }
-        strand::report_violation(name_, strand_, thread_, s, t,
-                                 "touched from a different strand");
         return;
     }
-    if (strict_) {
-        strand::report_violation(
-            name_, strand_, thread_, s, t,
-            "strict confinement: access outside the owning strand (no thread fallback)");
+    if (s == nullptr) {
+        strand::report_violation(name_, strand_, thread_, s, t, "touched outside any strand");
         return;
     }
-    // Thread fallback (single-threaded embedders, inline dispatch): the
-    // bound thread is the identity; a strand seen later on that same thread
-    // upgrades the binding.
-    if (thread_ == t) {
-        if (strand_ == nullptr && s != nullptr) strand_ = s;
+    if (strand_ == nullptr) strand_ = s;  // first touch binds
+    if (strand_ != s) {
+        strand::report_violation(name_, strand_, thread_, s, t, "touched from a different strand");
         return;
     }
-    strand::report_violation(name_, strand_, thread_, s, t, "touched from a different thread");
+    thread_ = t;  // same strand on a (possibly) new worker: rebind
 }
 
 void StrandChecker::detach() noexcept {
     std::lock_guard<std::mutex> lock{mu_};
-    bound_ = false;
     strand_ = nullptr;
     thread_ = nullptr;
-}
-
-void StrandChecker::set_strict(bool strict) noexcept {
-    std::lock_guard<std::mutex> lock{mu_};
-    strict_ = strict;
 }
 
 void StrandChecker::set_thread_only(bool thread_only) noexcept {

@@ -5,8 +5,9 @@
 // Design: registration (name -> instrument) is mutex-guarded and happens once
 // per metric, at setup time; the returned reference is stable for the life of
 // the Registry, so the hot path touches only the instrument's own atomics.
-// CoServer owns one Registry per server; process-wide instruments (protocol
-// encode counting, client-side stage latencies) live in Registry::global().
+// Each CoSession and its SessionManager own one Registry apiece; process-wide
+// instruments (protocol encode counting, client-side stage latencies) live
+// in Registry::global().
 #pragma once
 
 #include <atomic>

@@ -87,29 +87,19 @@ ServerStats CoSession::stats() const noexcept {
     return s;
 }
 
-InstanceId CoSession::attach(std::shared_ptr<net::Channel> channel) {
-    strand_checker_.assert_on_strand();
-    const InstanceId id = next_instance_++;
-    Conn conn;
-    conn.channel = std::move(channel);
-    conn.record.instance = id;
-    Conn& placed = conns_.emplace(id, std::move(conn)).first->second;
-    placed.channel->on_receive([this, id](const protocol::Frame& frame) { handle_frame(id, frame); });
-    placed.channel->on_close([this, id] { cleanup(id); });
-    CO_CHECK_INVARIANTS(*this);
-    return id;
-}
-
 void CoSession::adopt(InstanceId instance, std::shared_ptr<net::Channel> channel) {
     strand_checker_.assert_on_strand();
     // Manager-assigned ids are allocated process-wide; keep next_instance_
     // strictly above every adopted id so the id < next_instance_ invariant
-    // (and any future attach()) stays sound.
+    // stays sound.
     next_instance_ = std::max(next_instance_, instance + 1);
     Conn conn;
     conn.channel = std::move(channel);
     conn.record.instance = instance;
-    conns_.emplace(instance, std::move(conn));
+    [[maybe_unused]] const bool inserted = conns_.emplace(instance, std::move(conn)).second;
+    // A colliding id would silently keep the old connection and strand the
+    // new one: its Register would register the other channel instead.
+    CO_CHECK_MSG(inserted, "adopt() of an instance id the session already holds");
     CO_CHECK_INVARIANTS(*this);
 }
 
@@ -117,7 +107,7 @@ void CoSession::detach(InstanceId instance) {
     strand_checker_.assert_on_strand();
     cleanup(resolve_alias(instance));
     CO_CHECK_INVARIANTS(*this);
-    if (auto_pump_ && dispatch_depth_ == 0 && !replaying_ && persist_ != nullptr) pump();
+    if (auto_pump_ && persist_ != nullptr) pump();
 }
 
 SessionRow CoSession::session_status() const {
@@ -141,18 +131,9 @@ std::vector<RegistrationRecord> CoSession::registrations() const {
     return out;
 }
 
-CO_HOT_PATH void CoSession::handle_frame(InstanceId from, const protocol::Frame& frame) {
-    // Depth tracking makes pump() a true post-broadcast step: synchronous
-    // transports (SimNetwork, replay) re-enter handle_frame while a handler's
-    // send is still on the stack, and only the outermost unwind may touch the
-    // journal file or promote joiners.
-    ++dispatch_depth_;
+CO_HOT_PATH void CoSession::deliver(InstanceId from, const protocol::Frame& frame) {
     dispatch_frame(from, frame);
-    --dispatch_depth_;
-    if (auto_pump_ && dispatch_depth_ == 0 && !replaying_ &&
-        (persist_ != nullptr || synchronizing_count_ > 0)) {
-        pump();
-    }
+    if (auto_pump_ && (persist_ != nullptr || synchronizing_count_ > 0)) pump();
 }
 
 CO_HOT_PATH void CoSession::dispatch_frame(InstanceId from, const protocol::Frame& frame) {
@@ -381,17 +362,6 @@ CO_HOT_PATH void CoSession::send_frame(InstanceId to, const Frame& frame) {
     metrics_.messages_sent.inc();
     (void)it->second.channel->send(frame);
     metrics_.send_queue_peak_frames.update_max(it->second.channel->outbound_queued_frames());
-}
-
-std::size_t CoSession::outbound_queued(InstanceId instance) const {
-    const auto it = conns_.find(instance);
-    return it == conns_.end() ? 0 : it->second.channel->outbound_queued_frames();
-}
-
-std::size_t CoSession::outbound_queued_total() const {
-    std::size_t total = 0;
-    for (const auto& [id, conn] : conns_) total += conn.channel->outbound_queued_frames();
-    return total;
 }
 
 void CoSession::ack(InstanceId to, ActionId request, const Status& status) {
@@ -1041,47 +1011,33 @@ void CoSession::handle(InstanceId from, const PermissionSet& msg) {
 // --- durable sessions & late-joiner sync (ROADMAP item 1) ---------------------
 
 void CoSession::pump() {
-    if (in_pump_) return;  // inline transports re-enter via promoted sends
-    in_pump_ = true;
-    // Promotion sends synchronously on inline transports, and the client's
-    // responses can stage fresh records; loop until a pass finds no work so
-    // one pump() leaves the session fully drained and durable.
-    for (int round = 0; round < 64; ++round) {
-        const bool flushed = !staged_.empty();
-        // Frames this dispatch corked leave before the journal I/O does: a
-        // write and an fsync must not sit between a broadcast and its
-        // partners. (They still see it before it is durable, as ever.)
-        if (flushed) flush_corked_sends();
-        if (persist_ != nullptr) {
-            for (const StagedRecord& rec : staged_) {
-                if (rec.type == SessionJournal::RecordType::kFrame) {
-                    persist_->append_frame(rec.origin, rec.body, rec.name);
-                } else {
-                    persist_->append_detach(rec.origin);
-                }
+    const bool flushed = !staged_.empty();
+    // Frames this dispatch corked leave before the journal I/O does: a
+    // write and an fsync must not sit between a broadcast and its partners.
+    // (They still see it before it is durable, as ever.)
+    if (flushed) flush_corked_sends();
+    if (persist_ != nullptr) {
+        for (const StagedRecord& rec : staged_) {
+            if (rec.type == SessionJournal::RecordType::kFrame) {
+                persist_->append_frame(rec.origin, rec.body, rec.name);
+            } else {
+                persist_->append_detach(rec.origin);
             }
-            staged_.clear();
-            if (flushed) (void)persist_->sync();  // one durability point per batch
-        } else {
-            staged_.clear();
         }
-
-        const bool promoted = synchronizing_count_ > 0;
-        if (promoted) promote_synchronizing();
-        if (!flushed && !promoted) break;
+        if (flushed) (void)persist_->sync();  // one durability point per batch
     }
+    staged_.clear();
+    if (synchronizing_count_ > 0) promote_synchronizing();
     if (persist_ != nullptr && persist_->should_compact()) {
         flush_corked_sends();
         ByteWriter image;
         snapshot(image);
         (void)persist_->compact(image.data());
     }
-    in_pump_ = false;
 }
 
 void CoSession::promote_synchronizing() {
-    // Snapshot the ids first: sends during promotion can re-enter dispatch on
-    // inline transports and mutate conns_.
+    // Promote in id order: the streams leave independent of hash-map layout.
     std::vector<InstanceId> joiners;
     for (const auto& [id, conn] : conns_) {
         if (conn.synchronizing) joiners.push_back(id);
@@ -1139,7 +1095,7 @@ Status CoSession::enable_journal(const SessionJournalOptions& options) {
     for (const SessionJournal::Record& rec : recovered.tail) {
         if (rec.type == SessionJournal::RecordType::kFrame) {
             ensure_replay_conn(rec.origin);
-            handle_frame(rec.origin, protocol::Frame::copy_of(rec.body));
+            dispatch_frame(rec.origin, protocol::Frame::copy_of(rec.body));
         } else if (rec.type == SessionJournal::RecordType::kDetach) {
             cleanup(rec.origin);
         }

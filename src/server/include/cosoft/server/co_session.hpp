@@ -8,24 +8,22 @@
 //
 // The paper's server mediates exactly one session; CoSession is that
 // mediator, owning one universe of the four databases plus the in-flight
-// action/copy tables and its own metrics registry. A process that hosts many
-// independent sessions puts a SessionManager (session_manager.hpp) in front:
-// the manager routes each connection to the session its Register names and
-// serializes each session's dispatch while running different sessions
-// concurrently. Nothing in this class is thread-safe by itself — all calls
-// into one CoSession must be serialized (the sim thread, a single TCP pump
-// loop, or the manager's per-session strand). In COSOFT_THREAD_CHECKED
-// builds that contract is enforced: the session's StrandChecker binds to the
-// owning dispatch context at first touch and fails any mutating call
-// (attach/adopt/deliver/detach) from a foreign strand or thread — see
+// action/copy tables and its own metrics registry. A SessionManager
+// (session_manager.hpp) is the only front door: it accepts every
+// connection, routes it to the session its Register names, and serializes
+// each session's dispatch on that session's strand while running different
+// sessions concurrently — the single-session embedders (LocalSession, the
+// mc model checker, the examples) are a manager with its default session.
+// Nothing in this class is thread-safe by itself: every mutating call
+// (adopt/deliver/detach/enable_journal) runs on the owning strand. In
+// COSOFT_THREAD_CHECKED builds that contract is enforced: the session's
+// StrandChecker binds to the owning strand at first touch and fails any
+// mutating call from a foreign strand or from outside any strand — see
 // cosoft/common/strand_check.hpp.
 //
-// The session is transport-agnostic: attach() accepts any net::Channel (a
-// SimNetwork pipe or a TCP connection) and installs its own handlers —
-// the standalone single-session mode every test and the mc model checker
-// use. Under a SessionManager, connections arrive through adopt()/deliver()
-// instead: the manager owns the channel handlers and feeds decoded traffic
-// in, so the session never touches transport threading.
+// The session is transport-agnostic and never touches channel handlers:
+// the manager owns them, hands each connection over through adopt() and
+// feeds its decoded traffic in through deliver().
 #pragma once
 
 #include <memory>
@@ -93,20 +91,15 @@ class CoSession {
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-    /// Adopts a freshly connected client channel. The returned id is the
-    /// instance identifier the client will receive in RegisterAck. Installs
-    /// the channel's receive/close handlers (standalone single-session mode).
-    InstanceId attach(std::shared_ptr<net::Channel> channel);
-
-    /// Manager-mode adopt: takes ownership of the connection under an id the
-    /// SessionManager already assigned (globally unique across sessions) and
-    /// does NOT touch the channel's handlers — the manager keeps routing the
-    /// transport and feeds frames in through deliver().
+    /// Takes ownership of the connection under the id the SessionManager
+    /// assigned (globally unique across sessions). The id is the instance
+    /// identifier the client receives in RegisterAck; adopting an id the
+    /// session already holds is a checked failure.
     void adopt(InstanceId instance, std::shared_ptr<net::Channel> channel);
 
-    /// Manager-mode dispatch: decodes and handles one inbound frame from
-    /// `from` exactly as the attach()-installed receive handler would.
-    void deliver(InstanceId from, const protocol::Frame& frame) { handle_frame(from, frame); }
+    /// Decodes and handles one inbound frame from `from`, then runs the
+    /// post-dispatch pump() step.
+    void deliver(InstanceId from, const protocol::Frame& frame);
 
     /// Gracefully detaches (same cleanup as a closed channel).
     void detach(InstanceId instance);
@@ -152,8 +145,8 @@ class CoSession {
     }
     /// Post-broadcast strand step: flushes staged journal records (one sync()
     /// point per dispatch batch), promotes synchronizing joiners, and runs
-    /// size-triggered compaction. Runs automatically after every top-level
-    /// dispatch; idempotent and cheap when there is nothing to do.
+    /// size-triggered compaction. Runs automatically after every deliver()
+    /// and detach(); idempotent and cheap when there is nothing to do.
     void pump();
     /// Test hook: suspends the automatic post-dispatch pump so a test can
     /// hold a joiner in the synchronizing state (frames buffer server-side)
@@ -182,7 +175,7 @@ class CoSession {
     /// One above the highest instance id this session has ever seen (journal
     /// recovery restores it). A manager allocating process-wide ids must keep
     /// its own counter at or above this, or adopt() would collide with a
-    /// recovered ghost and strand the new connection.
+    /// recovered ghost.
     [[nodiscard]] InstanceId instance_floor() const noexcept { return next_instance_; }
     [[nodiscard]] std::size_t registered_count() const noexcept {
         std::size_t n = 0;
@@ -192,11 +185,6 @@ class CoSession {
     /// One status row summarizing this session (GET /status, cosoft-stat).
     [[nodiscard]] SessionRow session_status() const;
     [[nodiscard]] std::size_t pending_action_count() const noexcept { return pending_actions_.size(); }
-    /// Outbound frames accepted but not yet on the wire for one connection
-    /// (0 for unknown instances and synchronous transports).
-    [[nodiscard]] std::size_t outbound_queued(InstanceId instance) const;
-    /// Sum of outbound_queued over all connections.
-    [[nodiscard]] std::size_t outbound_queued_total() const;
     [[nodiscard]] std::vector<protocol::RegistrationRecord> registrations() const;
 
     /// Canonical serialization of the entire server state (all four §2.1
@@ -213,13 +201,6 @@ class CoSession {
     /// violations (empty = consistent). COSOFT_CHECKED builds verify this
     /// after every dispatched message; tests call it directly.
     [[nodiscard]] std::vector<std::string> check_invariants() const;
-
-    /// Strict strand confinement (thread-checked builds): once bound, only
-    /// the owning strand may call the mutating surface — no bare-thread
-    /// fallback. The SessionManager sets this when it runs dispatch workers,
-    /// enforcing the "must not touch while traffic flows" caveat on
-    /// default_session()/find_session().
-    void set_strand_strict(bool strict) noexcept { strand_checker_.set_strict(strict); }
 
   private:
     struct Conn {
@@ -258,10 +239,8 @@ class CoSession {
         bool fetch_only = false;  ///< FetchState: route the reply back raw
     };
 
-    void handle_frame(InstanceId from, const protocol::Frame& frame);
-    /// The dispatch body: decode, journal-stage, route to a handler. The
-    /// handle_frame wrapper tracks nesting depth and runs pump() when the
-    /// outermost dispatch unwinds.
+    /// The dispatch body: decode, journal-stage, route to a handler. deliver()
+    /// wraps it with the pump() step; journal replay calls it bare.
     void dispatch_frame(InstanceId from, const protocol::Frame& frame);
     void handle(InstanceId from, protocol::Register msg);
     void handle(InstanceId from, const protocol::Unregister& msg);
@@ -425,9 +404,7 @@ class CoSession {
     /// The frame being dispatched was staged for the journal, so a cleanup it
     /// triggers needs no separate kDetach record (replay repeats the frame).
     bool dispatching_journaled_frame_ = false;
-    int dispatch_depth_ = 0;
     bool auto_pump_ = true;
-    bool in_pump_ = false;
     std::size_t synchronizing_count_ = 0;
 
     static std::uint64_t action_hash(const LockTable::ActionKey& key) noexcept {

@@ -5,7 +5,9 @@
 // connection attaches into a lobby, its Register names the session to join
 // (created on demand), and from then on every frame it sends is dispatched
 // by that session's CoSession. Empty sessions are torn down automatically
-// (the default session can be pinned so embedders keep a stable reference).
+// (default_session() pins the default session, so single-session embedders
+// keep a stable reference). The manager is the server's only front door:
+// a CoSession never installs channel handlers of its own.
 //
 // Dispatch model — serial per session, concurrent across sessions:
 //  - Every connection owns a FIFO inbox of undecoded frames. Arriving frames
@@ -73,9 +75,6 @@ struct SessionManagerOptions {
     /// Dispatch worker threads. 0 = inline dispatch on the delivering thread
     /// (single-threaded embedders: SimNetwork, tests, the model checker).
     std::size_t workers = 0;
-    /// Keep the default session ("") alive even when its last member leaves,
-    /// so single-session embedders can hold a stable CoSession reference.
-    bool pin_default_session = false;
     /// The manager's private transport reactor, when it owns one (TCP
     /// deployments). Channels attached to this manager must be registered on
     /// this reactor; checked builds then verify that the reactor's
@@ -136,8 +135,9 @@ class SessionManager {
     InstanceId attach(std::shared_ptr<net::Channel> channel);
 
     /// The pinned default session (creates and pins it on first call). Only
-    /// meaningful for single-session embedders; with workers > 0 the caller
-    /// must not touch the returned session while traffic is flowing.
+    /// meaningful for single-session embedders. Its mutating surface belongs
+    /// to its strand (checked builds report any other caller); with
+    /// workers > 0, reads must wait for quiescent points.
     CoSession& default_session();
 
     /// Looks up a session by name (nullptr if absent). Same threading caveat

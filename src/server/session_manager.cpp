@@ -43,10 +43,6 @@ std::vector<std::string> scan_journal_dir(const std::string& dir) {
 }  // namespace
 
 SessionManager::SessionManager(SessionManagerOptions options) : options_(std::move(options)) {
-    if (options_.pin_default_session) {
-        MutexLock lock(mu_);
-        find_or_create_session(lock, std::string{})->pinned = true;
-    }
     if (!options_.journal_dir.empty()) {
         // Boot recovery: every *.cosj in the journal directory names a
         // session (in its header — the filesystem name is mangled) whose
@@ -493,10 +489,6 @@ SessionManager::Strand* SessionManager::find_or_create_session(MutexLock& lock,
     if (it != sessions_.end()) return it->second.get();
     auto strand = std::make_unique<Strand>(std::make_unique<CoSession>(name));
     Strand* raw = strand.get();
-    // With dispatch workers, embedders must not touch the session while
-    // traffic flows: strict confinement removes the checker's bare-thread
-    // fallback so such a touch fails instead of racing.
-    raw->session->set_strand_strict(!workers_.empty());
     if (!options_.journal_dir.empty()) {
         // Recovery replay happens here — under mu_, before any token can
         // queue on this strand — so adopting the strand's identity for the

@@ -1,11 +1,19 @@
-// Shared test fixture: tests drive a LocalSession (server + N clients over a
-// deterministic SimNetwork) with virtual time via run().
+// Shared test fixtures: tests drive a LocalSession (server + N clients over a
+// deterministic SimNetwork) with virtual time via run(), or a TcpRig (a
+// SessionManager behind a loopback listener) with pump_until().
 #pragma once
 
+#include <chrono>
 #include <functional>
+#include <memory>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "cosoft/apps/local_session.hpp"
+#include "cosoft/net/reactor.hpp"
+#include "cosoft/net/tcp.hpp"
+#include "cosoft/server/session_manager.hpp"
 
 namespace cosoft::testing {
 
@@ -23,6 +31,68 @@ class ScopeExit {
 
   private:
     std::function<void()> fn_;
+};
+
+/// Polls client channels until `pred` holds or `timeout_ms` passes; returns
+/// whether it held. Server channels need no polling: a SessionManager runs
+/// them in reactor delivery.
+template <typename Pred>
+bool pump_until(const std::vector<std::shared_ptr<net::TcpChannel>>& channels, Pred pred,
+                int timeout_ms = 3000) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (!pred()) {
+        for (const auto& ch : channels) ch->poll();
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+}
+
+/// The TCP server shape cosoftd runs, in one process: a private reactor, a
+/// SessionManager that owns it and dispatches on `workers` threads, and a
+/// loopback listener whose accepted channels register on that reactor.
+struct TcpRig {
+    std::shared_ptr<net::Reactor> reactor = net::Reactor::create();
+    server::SessionManager manager;
+    std::unique_ptr<net::TcpListener> listener;
+
+    explicit TcpRig(std::size_t workers = 2, int backlog = 16)
+        : manager([&] {
+              server::SessionManagerOptions options;
+              options.workers = workers;
+              options.reactor = reactor;
+              return options;
+          }()) {
+        net::ListenOptions options;
+        options.backlog = backlog;
+        options.reactor = reactor;
+        if (auto created = net::TcpListener::create(0, options); created.is_ok()) {
+            listener = std::move(created.value());
+        }
+    }
+
+    /// Opens a client connection and attaches its accepted server end to the
+    /// manager. Returns the client end, or nullptr when either step fails.
+    std::shared_ptr<net::TcpChannel> connect() {
+        if (listener == nullptr) return nullptr;
+        auto client = net::tcp_connect("127.0.0.1", listener->port());
+        if (!client.is_ok()) return nullptr;
+        auto served = listener->accept(2000);
+        if (!served.is_ok()) return nullptr;
+        manager.attach(served.value());
+        return client.value();
+    }
+
+    /// The default session's status row (all zero until it exists). Rows are
+    /// refreshed after every strand batch, so polling one never races the
+    /// dispatch workers.
+    [[nodiscard]] server::SessionRow default_row() const {
+        const server::ServerStatus status = manager.status();
+        for (const server::SessionRow& row : status.sessions) {
+            if (row.name.empty()) return row;
+        }
+        return {};
+    }
 };
 
 }  // namespace cosoft::testing

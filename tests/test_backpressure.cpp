@@ -19,7 +19,7 @@
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/net/tcp.hpp"
 #include "cosoft/protocol/conformance.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "helpers.hpp"
 
 namespace cosoft {
 namespace {
@@ -152,37 +152,28 @@ TEST(Backpressure, HighWatermarkOnsetThenDrainSignalsDecongestion) {
 }
 
 TEST(Backpressure, StalledPartnerDoesNotDelayLivePartners) {
-    auto listener = net::TcpListener::create(0);
-    ASSERT_TRUE(listener.is_ok());
-    server::CoServer server;
+    testing::TcpRig rig;
+    ASSERT_NE(rig.listener, nullptr);
 
     // Two live clients, conformance-checked end to end.
     std::vector<std::shared_ptr<net::TcpChannel>> pump;
     std::vector<std::unique_ptr<client::CoApp>> apps;
     std::vector<std::shared_ptr<protocol::ConformanceChecker>> checkers;
     for (std::size_t i = 0; i < 2; ++i) {
-        auto client = net::tcp_connect("127.0.0.1", listener.value()->port());
-        ASSERT_TRUE(client.is_ok());
-        auto served = listener.value()->accept(2000);
-        ASSERT_TRUE(served.is_ok());
-        server.attach(served.value());
-        pump.push_back(client.value());
-        pump.push_back(served.value());
+        pump.push_back(rig.connect());
+        ASSERT_NE(pump.back(), nullptr);
         checkers.push_back(std::make_shared<protocol::ConformanceChecker>("live" + std::to_string(i)));
         apps.push_back(std::make_unique<client::CoApp>("editor", "user" + std::to_string(i),
                                                        static_cast<UserId>(i + 1)));
-        apps.back()->connect(
-            std::make_shared<protocol::CheckedChannel>(client.value(), checkers.back()));
+        apps.back()->connect(std::make_shared<protocol::CheckedChannel>(pump.back(), checkers.back()));
     }
 
-    // One rude partner: registers, then never reads again.
-    const int rude_fd = raw_stalled_connect(listener.value()->port());
-    auto rude_served = listener.value()->accept(2000);
+    // One rude partner: registers, then never reads again. Its server end
+    // keeps the manager's kDisconnect send queue (8 MiB cap).
+    const int rude_fd = raw_stalled_connect(rig.listener->port());
+    auto rude_served = rig.listener->accept(2000);
     ASSERT_TRUE(rude_served.is_ok());
-    rude_served.value()->configure_send_queue(
-        {.max_bytes = 64U << 20, .high_watermark = 32U << 20,
-         .overflow = net::OverflowPolicy::kBlock, .drain_timeout_ms = 50});
-    const InstanceId rude_instance = server.attach(rude_served.value());
+    const InstanceId rude_instance = rig.manager.attach(rude_served.value());
     {
         const protocol::Frame reg = protocol::encode_message(
             protocol::Register{9, "rude", "host", "stalled", protocol::kProtocolVersion});
@@ -193,40 +184,35 @@ TEST(Backpressure, StalledPartnerDoesNotDelayLivePartners) {
         ASSERT_EQ(::send(rude_fd, wire.data(), wire.size(), MSG_NOSIGNAL),
                   static_cast<ssize_t>(wire.size()));
     }
-    pump.push_back(rude_served.value());
-
-    const auto pump_until = [&](auto pred, int timeout_ms) {
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-        while (!pred()) {
-            for (auto& ch : pump) ch->poll();
-            if (std::chrono::steady_clock::now() > deadline) return false;
-            std::this_thread::sleep_for(200us);
+    const auto rude_queued = [&] {
+        for (const server::ConnectionRow& row : rig.manager.status().connections) {
+            if (row.instance == rude_instance) return row.queued_frames;
         }
-        return true;
+        return std::uint64_t{0};
     };
-    ASSERT_TRUE(pump_until([&] { return apps[0]->online() && apps[1]->online(); }, 3000));
-    ASSERT_TRUE(pump_until([&] { return server.connection_count() == 3; }, 3000));
+
+    ASSERT_TRUE(testing::pump_until(pump, [&] { return apps[0]->online() && apps[1]->online(); }, 3000));
+    ASSERT_TRUE(testing::pump_until(pump, [&] { return rig.default_row().registered == 3; }, 3000));
 
     // Wedge the rude partner's connection: pile on frames until the queue is
     // backed up well past anything the kernel send buffer could still absorb
-    // (it autotunes to a few MB), so the backlog provably outlives the pump.
-    while (rude_served.value()->outbound_queued_bytes() < (8U << 20)) {
+    // (it autotunes to a few MB), so the backlog provably outlives the pump —
+    // yet stays below the 8 MiB cap at which kDisconnect would drop it.
+    while (rude_served.value()->outbound_queued_bytes() < (4U << 20)) {
         ASSERT_TRUE(rude_served.value()->send(payload(256 << 10)).is_ok());
     }
-    EXPECT_GT(server.outbound_queued(rude_instance), 0u);
-    EXPECT_GT(server.outbound_queued_total(), 0u);
+    EXPECT_GT(rude_queued(), 0u);
 
-    // A broadcast now hits both the live partner and the wedged one. The
-    // old transport serialized blocking writes through the server's single
-    // dispatch thread, so the live partner would wait behind the 1MB wall;
-    // the queued transport must deliver promptly.
+    // A broadcast now hits both the live partner and the wedged one. Sends
+    // only enqueue, so the live partner must not wait behind the wedged
+    // partner's backlog.
     std::atomic<int> received{0};
     apps[1]->on_command("ping", [&](InstanceId, std::span<const std::uint8_t>) { received.fetch_add(1); });
     apps[0]->send_command("ping", {1, 2, 3});
-    EXPECT_TRUE(pump_until([&] { return received.load() == 1; }, 3000));
+    EXPECT_TRUE(testing::pump_until(pump, [&] { return received.load() == 1; }, 3000));
 
     // The wedged connection took the same broadcast into its queue instead.
-    EXPECT_GT(server.outbound_queued(rude_instance), 0u);
+    EXPECT_GT(rude_queued(), 0u);
     for (const auto& checker : checkers) EXPECT_TRUE(checker->violations().empty());
     ::close(rude_fd);
 }

@@ -198,7 +198,7 @@ TEST(WidgetTreeInvariants, HoldAcrossBuildReorderAndRemove) {
     EXPECT_TRUE(tree.check_invariants().empty());
 }
 
-// --- CoServer dispatch boundaries --------------------------------------------
+// --- CoSession dispatch boundaries -------------------------------------------
 
 TEST(ServerInvariants, HoldThroughoutACoupledSession) {
     testing::Session session;

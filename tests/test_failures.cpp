@@ -119,13 +119,15 @@ TEST(Failures, MalformedFramesAreIgnoredByServer) {
     CoApp& a = s.add_app("A", "alice", 1);
     add_field(a);
 
-    // Handcraft a garbage frame on a fresh raw channel.
+    // Handcraft a garbage frame on a fresh raw channel. It registers first:
+    // an unregistered connection's garbage never leaves the manager's lobby.
     auto [raw_client, raw_server] = s.net().make_pipe();
-    s.server().attach(raw_server);
+    s.manager().attach(raw_server);
+    ASSERT_TRUE(raw_client->send(protocol::encode_message(protocol::Register{9, "raw", "h", "raw"})).is_ok());
     ASSERT_TRUE(raw_client->send(std::vector<std::uint8_t>{0xff, 0x01, 0x02}).is_ok());
     ASSERT_TRUE(raw_client->send(std::vector<std::uint8_t>{}).is_ok());
     s.run();
-    // Each garbage frame is counted, journaled, and dropped.
+    // Each garbage frame is counted and dropped.
     EXPECT_EQ(s.server().stats().malformed_frames, 2u);
     // Server survives and the registered client still works.
     Status st{ErrorCode::kInvalidArgument, "pending"};
@@ -143,7 +145,7 @@ TEST(Failures, UnregisteredClientsCannotOperate) {
 
     // A raw channel that never registers tries to couple alice's object.
     auto [raw_client, raw_server] = s.net().make_pipe();
-    s.server().attach(raw_server);
+    s.manager().attach(raw_server);
     const protocol::Message msg = protocol::CoupleReq{1, {a.instance(), "f"}, {a.instance(), "f"}};
     ASSERT_TRUE(raw_client->send(protocol::encode_message(msg)).is_ok());
     s.run();

@@ -4,14 +4,11 @@
 // Frame value type itself (sharing, equality, emptiness).
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "cosoft/apps/local_session.hpp"
 #include "cosoft/net/sim_network.hpp"
-#include "cosoft/net/tcp.hpp"
 #include "cosoft/protocol/frame.hpp"
 #include "cosoft/protocol/messages.hpp"
+#include "helpers.hpp"
 
 namespace cosoft {
 namespace {
@@ -19,6 +16,8 @@ namespace {
 using apps::LocalSession;
 using client::CoApp;
 using protocol::Frame;
+using testing::pump_until;
+using testing::TcpRig;
 using toolkit::EventType;
 using toolkit::WidgetClass;
 
@@ -148,35 +147,21 @@ TEST(EncodeOnce, SimChannelDeliversTheSharedBufferWithoutCopying) {
 }
 
 TEST(EncodeOnce, TcpBroadcastEncodesExactlyOncePerMessage) {
-    auto listener = net::TcpListener::create(0);
-    ASSERT_TRUE(listener.is_ok());
-    server::CoServer server;
+    TcpRig rig;
+    ASSERT_NE(rig.listener, nullptr);
+    const server::CoSession& server = rig.manager.default_session();
 
     constexpr std::size_t kApps = 3;
     std::vector<std::shared_ptr<net::TcpChannel>> pump;
     std::vector<std::unique_ptr<CoApp>> apps;
     for (std::size_t i = 0; i < kApps; ++i) {
-        auto client = net::tcp_connect("127.0.0.1", listener.value()->port());
-        ASSERT_TRUE(client.is_ok());
-        auto served = listener.value()->accept(2000);
-        ASSERT_TRUE(served.is_ok());
-        server.attach(served.value());
-        pump.push_back(client.value());
-        pump.push_back(served.value());
+        pump.push_back(rig.connect());
+        ASSERT_NE(pump.back(), nullptr);
         apps.push_back(std::make_unique<CoApp>("editor", "user" + std::to_string(i),
                                                static_cast<UserId>(i + 1)));
-        apps.back()->connect(client.value());
+        apps.back()->connect(pump.back());
     }
-    const auto pump_until = [&](auto pred) {
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
-        while (!pred()) {
-            for (auto& ch : pump) ch->poll();
-            if (std::chrono::steady_clock::now() > deadline) return false;
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        return true;
-    };
-    ASSERT_TRUE(pump_until([&] {
+    ASSERT_TRUE(pump_until(pump, [&] {
         for (auto& app : apps) {
             if (!app->online()) return false;
         }
@@ -188,7 +173,7 @@ TEST(EncodeOnce, TcpBroadcastEncodesExactlyOncePerMessage) {
     for (std::size_t i = 1; i < kApps; ++i) apps[0]->couple("f", apps[i]->ref("f"));
     // Every app — the future emitter included — must have seen its
     // GroupUpdate: an emit from a not-yet-coupled replica stays local.
-    ASSERT_TRUE(pump_until([&] {
+    ASSERT_TRUE(pump_until(pump, [&] {
         for (auto& app : apps) {
             if (!app->is_coupled("f")) return false;
         }
@@ -199,9 +184,9 @@ TEST(EncodeOnce, TcpBroadcastEncodesExactlyOncePerMessage) {
     Status emit_status{ErrorCode::kInvalidArgument, "pending"};
     apps[0]->emit("f", apps[0]->ui().find("f")->make_event(EventType::kValueChanged, std::string{"tcp"}),
                   [&](const Status& st) { emit_status = st; });
-    ASSERT_TRUE(pump_until([&] { return apps[kApps - 1]->ui().find("f")->text("value") == "tcp"; }));
+    ASSERT_TRUE(pump_until(pump, [&] { return apps[kApps - 1]->ui().find("f")->text("value") == "tcp"; }));
     EXPECT_TRUE(emit_status.is_ok());
-    ASSERT_TRUE(pump_until([&] { return server.locks().locked_count() == 0; }));
+    ASSERT_TRUE(pump_until(pump, [&] { return rig.default_row().locks_held == 0; }));
     const server::ServerStats& after = server.stats();
     // The same invariant as over SimNetwork: three broadcasts, three encodes,
     // each shared across recipient connections (lock notify and execute to

@@ -43,20 +43,25 @@ TEST(ServerStats, CountsASessionEndToEnd) {
 
 TEST(ServerStats, MalformedFramesAreCounted) {
     Session s;
+    // The raw client registers first: an unregistered connection's garbage
+    // never leaves the manager's lobby.
     auto [raw_client, raw_server] = s.net().make_pipe();
-    s.server().attach(raw_server);
+    s.manager().attach(raw_server);
+    ASSERT_TRUE(raw_client->send(protocol::encode_message(protocol::Register{9, "raw", "h", "raw"})).is_ok());
+    s.run();
+    const server::ServerStats before = s.server().stats();
     ASSERT_TRUE(raw_client->send(std::vector<std::uint8_t>{0xff, 0xff, 0xff}).is_ok());
     s.run();
     const server::ServerStats stats = s.server().stats();
-    EXPECT_EQ(stats.malformed_frames, 1u);
-    EXPECT_EQ(stats.messages_received, 1u);
-    EXPECT_EQ(stats.messages_sent, 0u) << "a malformed frame is dropped without a reply";
+    EXPECT_EQ(stats.malformed_frames - before.malformed_frames, 1u);
+    EXPECT_EQ(stats.messages_received - before.messages_received, 1u);
+    EXPECT_EQ(stats.messages_sent - before.messages_sent, 0u) << "a malformed frame is dropped without a reply";
 }
 
 TEST(ProtocolVersion, MismatchedClientIsRefused) {
     Session s;
     auto [raw_client, raw_server] = s.net().make_pipe();
-    s.server().attach(raw_server);
+    s.manager().attach(raw_server);
 
     protocol::Register reg;
     reg.user = 5;

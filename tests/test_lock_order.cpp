@@ -5,9 +5,9 @@
 //     pairs and cycles assembled across threads;
 //   - clean nesting is silent and the per-thread held bookkeeping balances;
 //   - strand confinement binds at first touch, follows a strand across
-//     workers, falls back to thread confinement outside any strand, and
-//     strict mode removes that fallback;
-//   - CoSession's entry points actually enforce the confinement;
+//     workers, and reports any touch from another strand or from outside
+//     any strand;
+//   - a manager-owned CoSession's entry points actually enforce it;
 //   - regression coverage for the guarded-state escapes the migration fixed
 //     (TcpChannel send-queue reconfiguration racing send/close) and a
 //     battery-style SessionManager workload that must stay cycle-free.
@@ -26,12 +26,12 @@
 #include <thread>
 #include <vector>
 
+#include "cosoft/apps/local_session.hpp"
 #include "cosoft/client/co_app.hpp"
 #include "cosoft/common/lock_order.hpp"
 #include "cosoft/common/strand_check.hpp"
 #include "cosoft/common/thread_annotations.hpp"
 #include "cosoft/net/reactor.hpp"
-#include "cosoft/net/sim_network.hpp"
 #include "cosoft/net/tcp.hpp"
 #include "cosoft/protocol/messages.hpp"
 #include "cosoft/server/co_session.hpp"
@@ -275,34 +275,24 @@ TEST(StrandConfinement, StrandMigratesAcrossWorkerThreads) {
     EXPECT_TRUE(capture.reports().empty()) << capture.reports().front();
 }
 
-TEST(StrandConfinement, ThreadFallbackOutsideAnyStrand) {
+TEST(StrandConfinement, AccessOutsideTheOwningStrandIsReported) {
     if (!thread_checked_build()) GTEST_SKIP() << "checkers compiled out in this build";
     CaptureStrand capture;
-    StrandChecker checker{"test.strand.fallback"};
-    checker.assert_on_strand();  // binds to this bare thread
-    checker.assert_on_strand();  // same thread: silent
-    EXPECT_TRUE(capture.reports().empty());
-    std::thread([&] { checker.assert_on_strand(); }).join();
-    ASSERT_EQ(capture.reports().size(), 1u);
-    EXPECT_TRUE(contains(capture.reports().front(), "touched from a different thread"))
-        << capture.reports().front();
-}
-
-TEST(StrandConfinement, StrictModeRemovesTheThreadFallback) {
-    if (!thread_checked_build()) GTEST_SKIP() << "checkers compiled out in this build";
-    CaptureStrand capture;
-    StrandChecker checker{"test.strand.strict"};
-    checker.set_strict(true);
+    StrandChecker checker{"test.strand.outside"};
     int the_strand = 0;
     {
         const StrandScope scope{&the_strand};
-        checker.assert_on_strand();
+        checker.assert_on_strand();  // binds to the strand
     }
-    // Same thread, but outside the owning strand: strict mode refuses.
+    EXPECT_TRUE(capture.reports().empty());
+    // The owning thread, but outside the strand: there is no thread fallback.
     checker.assert_on_strand();
-    ASSERT_EQ(capture.reports().size(), 1u);
-    EXPECT_TRUE(contains(capture.reports().front(), "strict confinement"))
-        << capture.reports().front();
+    // A bare touch from another thread is reported the same way.
+    std::thread([&] { checker.assert_on_strand(); }).join();
+    ASSERT_EQ(capture.reports().size(), 2u);
+    for (const std::string& report : capture.reports()) {
+        EXPECT_TRUE(contains(report, "touched outside any strand")) << report;
+    }
 }
 
 TEST(StrandConfinement, ThreadOnlyModeIgnoresStrandsButKeepsThreadConfinement) {
@@ -351,33 +341,33 @@ TEST(StrandConfinement, DetachRebindsAtTheNextTouch) {
 TEST(StrandConfinement, CoSessionEntryPointsEnforceConfinement) {
     if (!thread_checked_build()) GTEST_SKIP() << "checkers compiled out in this build";
     CaptureStrand capture;
-    net::SimNetwork net;
-    server::CoSession session;
-    auto [client_end, server_end] = net.make_pipe();
-    const InstanceId id = session.attach(server_end);  // binds to this bare thread
+    // A manager-owned session: the app's Register binds the session's
+    // checker to the session strand, where every dispatch since has run.
+    apps::LocalSession local;
+    local.set_conformance(false);  // the stray replies below are never delivered
+    const InstanceId id = local.add_app("editor", "ann", 1).instance();
+    EXPECT_TRUE(capture.reports().empty());
 
     const protocol::Frame query = protocol::encode_message(
         protocol::Message{protocol::RegistryQuery{1}});
-    session.deliver(id, query);
-    net.run_all();
-    EXPECT_TRUE(capture.reports().empty());
-
-    // A touch under a strand on the owning thread upgrades the binding...
-    int owning_strand = 0;
-    {
-        const StrandScope scope{&owning_strand};
-        session.deliver(id, query);
-    }
-    EXPECT_TRUE(capture.reports().empty());
-    // ...after which a different strand is a violation even on this thread.
+    // A bare-thread touch — on the very thread the inline manager runs — is
+    // reported...
+    local.server().deliver(id, query);
+    ASSERT_EQ(capture.reports().size(), 1u);
+    EXPECT_TRUE(contains(capture.reports().back(), "touched outside any strand"))
+        << capture.reports().back();
+    // ...and so is a touch from a foreign strand.
     int foreign_strand = 0;
     {
         const StrandScope scope{&foreign_strand};
-        session.deliver(id, query);
+        local.server().deliver(id, query);
     }
-    ASSERT_FALSE(capture.reports().empty());
-    EXPECT_TRUE(contains(capture.reports().front(), "server.CoSession"))
-        << capture.reports().front();
+    ASSERT_EQ(capture.reports().size(), 2u);
+    EXPECT_TRUE(contains(capture.reports().back(), "touched from a different strand"))
+        << capture.reports().back();
+    for (const std::string& report : capture.reports()) {
+        EXPECT_TRUE(contains(report, "server.CoSession")) << report;
+    }
 }
 
 // --- Regression: the guarded-state escapes the migration fixed ---------------

@@ -139,7 +139,7 @@ TEST(LooseCoupling, OnlyOwnerMayChangeModeOrSync) {
     // b tries to sync c's object by sending the ref directly.
     // (The public API does not allow it, so go through the wire.)
     auto [raw_client, raw_server] = t.session.net().make_pipe();
-    t.session.server().attach(raw_server);
+    t.session.manager().attach(raw_server);
     raw_client->on_receive([&](std::span<const std::uint8_t> frame) {
         auto decoded = protocol::decode_message(frame);
         if (decoded.is_ok()) {

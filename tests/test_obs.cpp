@@ -13,7 +13,6 @@
 #include "cosoft/net/sim_network.hpp"
 #include "cosoft/obs/metrics.hpp"
 #include "cosoft/obs/watchdog.hpp"
-#include "cosoft/server/co_server.hpp"
 #include "cosoft/server/session_manager.hpp"
 
 namespace cosoft::obs {

@@ -1,4 +1,4 @@
-// Direct edge-case tests of the CoServer message handling: stale or forged
+// Direct edge-case tests of the server's message handling: stale or forged
 // messages, wildcard permissions, and unusual-but-legal sequences. The
 // server must tolerate anything a confused (or malicious) client sends.
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ struct RawClient {
     explicit RawClient(Session& s) {
         auto [client_end, server_end] = s.net().make_pipe();
         channel = client_end;
-        s.server().attach(server_end);
+        s.manager().attach(server_end);
         channel->on_receive([this](std::span<const std::uint8_t> frame) {
             auto decoded = protocol::decode_message(frame);
             if (decoded.is_ok()) received.push_back(std::move(decoded).value());
@@ -250,13 +250,40 @@ TEST(ServerEdge, PermissionSetSanitizesOutOfRangeRights) {
     ASSERT_NE(raw.instance, kInvalidInstance);
 
     // Garbage high bits must be masked away, not stored: the invariant
-    // check at the handle_frame boundary would flag them.
+    // check at the dispatch boundary would flag them.
     raw.send(protocol::PermissionSet{78, 2, ObjectRef{raw.instance, "w"}, 0xf5, false});
     s.run();
 
     EXPECT_EQ(s.server().permissions().rule_count(), 1u);
     EXPECT_TRUE(s.server().permissions().check_invariants().empty())
         << s.server().permissions().check_invariants().front();
+    EXPECT_TRUE(s.server().check_invariants().empty());
+}
+
+// The front-door interleaving: an app, a raw client, another app. Every
+// connection draws its id from the one manager, so the second app cannot
+// collide with the raw connection: both apps come online under distinct
+// instances, and the raw client stays unregistered in the lobby.
+TEST(ServerEdge, RawClientBetweenAppsKeepsEveryInstanceDistinct) {
+    Session s;
+    CoApp& a = s.add_app("A", "alice", 1);
+    auto [raw_client, raw_server] = s.net().make_pipe();
+    const InstanceId raw = s.manager().attach(raw_server);
+    CoApp& b = s.add_app("B", "bob", 2);
+    s.run();
+
+    ASSERT_TRUE(a.online());
+    ASSERT_TRUE(b.online());
+    EXPECT_NE(a.instance(), b.instance());
+    EXPECT_NE(a.instance(), raw);
+    EXPECT_NE(b.instance(), raw);
+    EXPECT_EQ(s.server().registered_count(), 2u);
+    EXPECT_EQ(s.server().connection_count(), 2u);  // the raw client never left the lobby
+    const server::ServerStatus status = s.manager().status();
+    ASSERT_EQ(status.connections.size(), 3u);
+    for (const server::ConnectionRow& row : status.connections) {
+        EXPECT_EQ(row.registered, row.instance != raw) << row.instance;
+    }
     EXPECT_TRUE(s.server().check_invariants().empty());
 }
 

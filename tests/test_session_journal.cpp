@@ -18,6 +18,7 @@
 #include "cosoft/net/sim_network.hpp"
 #include "cosoft/protocol/messages.hpp"
 #include "cosoft/server/co_session.hpp"
+#include "cosoft/server/session_manager.hpp"
 #include "cosoft/server/session_journal.hpp"
 #include "cosoft/toolkit/widget.hpp"
 #include "helpers.hpp"
@@ -413,16 +414,21 @@ std::vector<std::uint8_t> fingerprint_of(const server::CoSession& s) {
 TEST(JournalRecovery, V3RegisterReplaysToTheLiveFingerprint) {
     TempDir live_dir;
     TempDir v3_dir;
+    const auto journaled_in = [](const TempDir& dir) {
+        server::SessionManagerOptions o;
+        o.journal_dir = dir.path;
+        o.journal_fsync = FsyncPolicy::kNever;
+        return o;
+    };
     net::SimNetwork net;
-    server::CoSession live;
-    ASSERT_TRUE(live.enable_journal(options_in(live_dir)).is_ok());
+    server::SessionManager live_server{journaled_in(live_dir)};
 
     std::vector<std::shared_ptr<SeverableChannel>> server_ends;
     std::vector<std::unique_ptr<client::CoApp>> apps;
     for (const UserId user : {UserId{1}, UserId{2}}) {
         auto [client_end, server_end] = net.make_pipe();
         server_ends.push_back(std::make_shared<SeverableChannel>(server_end));
-        (void)live.attach(server_ends.back());
+        (void)live_server.attach(server_ends.back());
         apps.push_back(std::make_unique<client::CoApp>("editor", "user" + std::to_string(user), user));
         build_ui(*apps.back());
         apps.back()->connect(client_end);
@@ -439,6 +445,7 @@ TEST(JournalRecovery, V3RegisterReplaysToTheLiveFingerprint) {
     b.set_loose("notes", true);
     a.set_permission(b.user(), "field", protocol::kAllRights, false);
     net.run_all();
+    const server::CoSession& live = live_server.default_session();
     ASSERT_EQ(live.registrations().size(), 2u);
 
     // Rewrite the journal as a v3 server would have left it: the same
@@ -466,11 +473,13 @@ TEST(JournalRecovery, V3RegisterReplaysToTheLiveFingerprint) {
 
     // The killed server's connections are gone without a departure record.
     for (const auto& end : server_ends) end->sever();
-    server::CoSession recovered;
-    ASSERT_TRUE(recovered.enable_journal(options_in(v3_dir)).is_ok());
-    EXPECT_EQ(recovered.registrations().size(), 2u);
-    EXPECT_EQ(fingerprint_of(recovered), fingerprint_of(live));
-    EXPECT_TRUE(recovered.check_invariants().empty());
+    // A second server boots from the v3 journal directory.
+    server::SessionManager recovered_server{journaled_in(v3_dir)};
+    const server::CoSession* recovered = recovered_server.find_session("");
+    ASSERT_NE(recovered, nullptr);
+    EXPECT_EQ(recovered->registrations().size(), 2u);
+    EXPECT_EQ(fingerprint_of(*recovered), fingerprint_of(live));
+    EXPECT_TRUE(recovered->check_invariants().empty());
 }
 
 // Mid-burst join: hold the joiner in the synchronizing state (auto-pump

@@ -32,7 +32,8 @@ namespace {
 
 using client::CoApp;
 using server::SessionManager;
-using server::SessionManagerOptions;
+using testing::pump_until;
+using testing::TcpRig;
 using toolkit::EventType;
 using toolkit::WidgetClass;
 
@@ -216,41 +217,16 @@ TEST(SessionLobby, StatusListsSessionsAndUnregisteredConnections) {
 
 // --- real TCP --------------------------------------------------------------
 
-/// Pumps client channels until `pred` holds or the deadline passes. Server
-/// channels need no pumping: the manager runs them in reactor delivery.
-template <typename Pred>
-bool pump_until(std::vector<std::shared_ptr<net::TcpChannel>>& channels, Pred pred, int timeout_ms = 5000) {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (!pred()) {
-        for (auto& ch : channels) ch->poll();
-        if (Clock::now() > deadline) return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return true;
-}
-
 TEST(SessionTcp, IsolationHoldsAcrossSessionsOverSockets) {
-    auto reactor = net::Reactor::create();
-    SessionManagerOptions options;
-    options.workers = 2;
-    options.reactor = reactor;
-    SessionManager mgr(options);
-
-    net::ListenOptions listen_options;
-    listen_options.reactor = reactor;
-    auto listener = net::TcpListener::create(0, listen_options);
-    ASSERT_TRUE(listener.is_ok());
+    TcpRig rig{/*workers=*/2};
+    ASSERT_NE(rig.listener, nullptr);
+    SessionManager& mgr = rig.manager;
 
     std::vector<std::shared_ptr<net::TcpChannel>> pump;
     auto connect = [&](CoApp& app, const std::string& session) {
-        auto c = net::tcp_connect("127.0.0.1", listener.value()->port());
-        ASSERT_TRUE(c.is_ok());
-        auto s = listener.value()->accept(2000);
-        ASSERT_TRUE(s.is_ok());
-        mgr.attach(s.value());
-        app.connect(c.value(), session);
-        pump.push_back(c.value());
+        pump.push_back(rig.connect());
+        ASSERT_NE(pump.back(), nullptr);
+        app.connect(pump.back(), session);
     };
 
     CoApp r1{"editor", "r1", 1};
@@ -261,7 +237,7 @@ TEST(SessionTcp, IsolationHoldsAcrossSessionsOverSockets) {
     connect(r2, "red");
     connect(b1, "blue");
     connect(b2, "blue");
-    ASSERT_TRUE(pump_until(pump, [&] { return r1.online() && r2.online() && b1.online() && b2.online(); }));
+    ASSERT_TRUE(pump_until(pump, [&] { return r1.online() && r2.online() && b1.online() && b2.online(); }, 5000));
 
     for (CoApp* a : {&r1, &r2, &b1, &b2}) {
         ASSERT_TRUE(a->ui().root().add_child(WidgetClass::kTextField, "f").is_ok());
@@ -270,13 +246,13 @@ TEST(SessionTcp, IsolationHoldsAcrossSessionsOverSockets) {
     bool blue_coupled = false;
     r1.couple("f", r2.ref("f"), [&](const Status& st) { red_coupled = st.is_ok(); });
     b1.couple("f", b2.ref("f"), [&](const Status& st) { blue_coupled = st.is_ok(); });
-    ASSERT_TRUE(pump_until(pump, [&] { return red_coupled && blue_coupled; }));
+    ASSERT_TRUE(pump_until(pump, [&] { return red_coupled && blue_coupled; }, 5000));
 
     r1.emit("f", r1.ui().find("f")->make_event(EventType::kValueChanged, std::string{"red"}));
     b1.emit("f", b1.ui().find("f")->make_event(EventType::kValueChanged, std::string{"blue"}));
     ASSERT_TRUE(pump_until(pump, [&] {
         return r2.ui().find("f")->text("value") == "red" && b2.ui().find("f")->text("value") == "blue";
-    }));
+    }, 5000));
     EXPECT_EQ(r1.ui().find("f")->text("value"), "red");
     EXPECT_EQ(b1.ui().find("f")->text("value"), "blue");
 
@@ -288,16 +264,9 @@ TEST(SessionTcp, IsolationHoldsAcrossSessionsOverSockets) {
 }
 
 TEST(SessionTcp, StatusQueriesRaceConnectionDepartures) {
-    auto reactor = net::Reactor::create();
-    SessionManagerOptions options;
-    options.workers = 4;
-    options.reactor = reactor;
-    SessionManager mgr(options);
-
-    net::ListenOptions listen_options;
-    listen_options.reactor = reactor;
-    auto listener = net::TcpListener::create(0, listen_options);
-    ASSERT_TRUE(listener.is_ok());
+    TcpRig rig{/*workers=*/4};
+    ASSERT_NE(rig.listener, nullptr);
+    SessionManager& mgr = rig.manager;
 
     // A scraper hammers GET /status, which walks conns_ under the manager
     // mutex; three more readers call status() directly, many times faster
@@ -341,17 +310,14 @@ TEST(SessionTcp, StatusQueriesRaceConnectionDepartures) {
         }
 
         for (int i = 0; i < 200; ++i) {
-            auto c = net::tcp_connect("127.0.0.1", listener.value()->port());
-            ASSERT_TRUE(c.is_ok());
-            auto s = listener.value()->accept(2000);
-            ASSERT_TRUE(s.is_ok());
-            mgr.attach(s.value());
+            const std::shared_ptr<net::TcpChannel> c = rig.connect();
+            ASSERT_NE(c, nullptr);
             protocol::Register reg;
             reg.user = static_cast<UserId>(i + 1);
             reg.user_name = "churn" + std::to_string(i);
             reg.app_name = "editor";
             reg.session = "churn";
-            (void)c.value()->send(protocol::encode_message(protocol::Message{reg}));
+            (void)c->send(protocol::encode_message(protocol::Message{reg}));
             // Dropping the client closes it: the server adopts the Register
             // and immediately departs, overlapping session detach with the
             // status reads.
@@ -383,17 +349,9 @@ int process_thread_count() {
 }
 
 TEST(SessionTcp, SixtyFourSessionsAtConstantThreadCount) {
-    auto reactor = net::Reactor::create();
-    SessionManagerOptions options;
-    options.workers = 4;
-    options.reactor = reactor;
-    SessionManager mgr(options);
-
-    net::ListenOptions listen_options;
-    listen_options.reactor = reactor;
-    listen_options.backlog = 128;
-    auto listener = net::TcpListener::create(0, listen_options);
-    ASSERT_TRUE(listener.is_ok());
+    TcpRig rig{/*workers=*/4, /*backlog=*/128};
+    ASSERT_NE(rig.listener, nullptr);
+    SessionManager& mgr = rig.manager;
 
     // Client-side channels in this process land on the global reactor; spin
     // it up before the baseline so it doesn't count against the sessions.
@@ -405,15 +363,11 @@ TEST(SessionTcp, SixtyFourSessionsAtConstantThreadCount) {
     std::vector<std::unique_ptr<CoApp>> apps;
     std::vector<std::shared_ptr<net::TcpChannel>> pump;
     for (int i = 0; i < kSessions; ++i) {
-        auto c = net::tcp_connect("127.0.0.1", listener.value()->port());
-        ASSERT_TRUE(c.is_ok());
-        auto s = listener.value()->accept(2000);
-        ASSERT_TRUE(s.is_ok());
-        mgr.attach(s.value());
+        pump.push_back(rig.connect());
+        ASSERT_NE(pump.back(), nullptr);
         auto app = std::make_unique<CoApp>("editor", "user" + std::to_string(i),
                                            static_cast<UserId>(i + 1));
-        app->connect(c.value(), "room" + std::to_string(i));
-        pump.push_back(c.value());
+        app->connect(pump.back(), "room" + std::to_string(i));
         apps.push_back(std::move(app));
     }
     ASSERT_TRUE(pump_until(pump, [&] {
@@ -421,7 +375,7 @@ TEST(SessionTcp, SixtyFourSessionsAtConstantThreadCount) {
             if (!a->online()) return false;
         }
         return true;
-    }));
+    }, 5000));
     EXPECT_EQ(mgr.session_count(), static_cast<std::size_t>(kSessions));
 
     // Every session does real work: one widget edit each, all concurrent.
@@ -434,7 +388,7 @@ TEST(SessionTcp, SixtyFourSessionsAtConstantThreadCount) {
             if (a->pending_emit_count() != 0) return false;
         }
         return true;
-    }));
+    }, 5000));
 
     // 64 live sessions added ZERO threads: transport is one reactor, dispatch
     // is the fixed worker pool. (Client-side channels in this test share the

@@ -1,57 +1,32 @@
-// The full COSOFT stack over real TCP on localhost: server and two clients,
-// coupling and synchronization driven through socket frames.
+// The full COSOFT stack over real TCP on localhost: a SessionManager server
+// and two clients, coupling and synchronization driven through socket frames.
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "cosoft/client/co_app.hpp"
-#include "cosoft/net/tcp.hpp"
-#include "cosoft/server/co_server.hpp"
+#include "helpers.hpp"
 
 namespace cosoft {
 namespace {
 
 using client::CoApp;
+using testing::pump_until;
+using testing::TcpRig;
 using toolkit::EventType;
 using toolkit::WidgetClass;
 
-/// Pumps all channels until `pred` holds or the deadline passes.
-template <typename Pred>
-bool pump_until(std::vector<std::shared_ptr<net::TcpChannel>>& channels, Pred pred, int timeout_ms = 3000) {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (!pred()) {
-        for (auto& ch : channels) ch->poll();
-        if (Clock::now() > deadline) return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return true;
-}
-
 TEST(TcpStack, EndToEndCouplingOverSockets) {
-    auto listener = net::TcpListener::create(0);
-    ASSERT_TRUE(listener.is_ok());
-    server::CoServer server;
+    TcpRig rig;
+    ASSERT_NE(rig.listener, nullptr);
 
     // Two clients connect; the server accepts and attaches each.
-    auto c1 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c1.is_ok());
-    auto s1 = listener.value()->accept(2000);
-    ASSERT_TRUE(s1.is_ok());
-    server.attach(s1.value());
-
-    auto c2 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c2.is_ok());
-    auto s2 = listener.value()->accept(2000);
-    ASSERT_TRUE(s2.is_ok());
-    server.attach(s2.value());
-
-    std::vector<std::shared_ptr<net::TcpChannel>> pump{c1.value(), s1.value(), c2.value(), s2.value()};
+    const std::vector<std::shared_ptr<net::TcpChannel>> pump{rig.connect(), rig.connect()};
+    ASSERT_NE(pump[0], nullptr);
+    ASSERT_NE(pump[1], nullptr);
 
     CoApp alice{"editor", "alice", 1};
     CoApp bob{"editor", "bob", 2};
-    alice.connect(c1.value());
-    bob.connect(c2.value());
+    alice.connect(pump[0]);
+    bob.connect(pump[1]);
     ASSERT_TRUE(pump_until(pump, [&] { return alice.online() && bob.online(); }));
 
     ASSERT_TRUE(alice.ui().root().add_child(WidgetClass::kTextField, "f").is_ok());
@@ -66,42 +41,31 @@ TEST(TcpStack, EndToEndCouplingOverSockets) {
                [&](const Status& st) { emit_status = st; });
     ASSERT_TRUE(pump_until(pump, [&] { return bob.ui().find("f")->text("value") == "over tcp"; }));
     EXPECT_TRUE(emit_status.is_ok());
-    EXPECT_TRUE(pump_until(pump, [&] { return server.locks().locked_count() == 0; }));
+    EXPECT_TRUE(pump_until(pump, [&] { return rig.default_row().locks_held == 0; }));
 }
 
 TEST(TcpStack, ClientDisconnectCleansUpServerState) {
-    auto listener = net::TcpListener::create(0);
-    ASSERT_TRUE(listener.is_ok());
-    server::CoServer server;
+    TcpRig rig;
+    ASSERT_NE(rig.listener, nullptr);
 
-    auto c1 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c1.is_ok());
-    auto s1 = listener.value()->accept(2000);
-    ASSERT_TRUE(s1.is_ok());
-    server.attach(s1.value());
-
-    auto c2 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c2.is_ok());
-    auto s2 = listener.value()->accept(2000);
-    ASSERT_TRUE(s2.is_ok());
-    server.attach(s2.value());
-
-    std::vector<std::shared_ptr<net::TcpChannel>> pump{c1.value(), s1.value(), c2.value(), s2.value()};
+    const std::vector<std::shared_ptr<net::TcpChannel>> pump{rig.connect(), rig.connect()};
+    ASSERT_NE(pump[0], nullptr);
+    ASSERT_NE(pump[1], nullptr);
 
     CoApp alice{"editor", "alice", 1};
     CoApp bob{"editor", "bob", 2};
-    alice.connect(c1.value());
-    bob.connect(c2.value());
+    alice.connect(pump[0]);
+    bob.connect(pump[1]);
     ASSERT_TRUE(pump_until(pump, [&] { return alice.online() && bob.online(); }));
 
     ASSERT_TRUE(alice.ui().root().add_child(WidgetClass::kTextField, "f").is_ok());
     ASSERT_TRUE(bob.ui().root().add_child(WidgetClass::kTextField, "f").is_ok());
     bool coupled = false;
     alice.couple("f", bob.ref("f"), [&](const Status& st) { coupled = st.is_ok(); });
-    ASSERT_TRUE(pump_until(pump, [&] { return coupled; }));
+    ASSERT_TRUE(pump_until(pump, [&] { return coupled && rig.default_row().couples == 1; }));
 
-    c1.value()->close();  // alice's process dies
-    ASSERT_TRUE(pump_until(pump, [&] { return server.couples().link_count() == 0; }));
+    pump[0]->close();  // alice's process dies
+    ASSERT_TRUE(pump_until(pump, [&] { return rig.default_row().couples == 0; }));
     EXPECT_TRUE(pump_until(pump, [&] { return !bob.is_coupled("f"); }));
 }
 

@@ -4,14 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cosoft/common/bytes.hpp"
-#include "cosoft/net/tcp.hpp"
 #include "cosoft/obs/trace.hpp"
 #include "cosoft/toolkit/builder.hpp"
 #include "helpers.hpp"
@@ -24,6 +22,7 @@ using obs::ScopedSpan;
 using obs::Span;
 using obs::TraceContext;
 using obs::Tracer;
+using testing::pump_until;
 using testing::Session;
 using toolkit::EventType;
 using toolkit::WidgetClass;
@@ -281,42 +280,17 @@ TEST_F(TraceTest, TracingDisabledSessionRecordsNoSpans) {
     EXPECT_TRUE(Tracer::instance().collect().empty());
 }
 
-/// Pumps all channels until `pred` holds or the deadline passes.
-template <typename Pred>
-bool pump_until(std::vector<std::shared_ptr<net::TcpChannel>>& channels, Pred pred, int timeout_ms = 3000) {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (!pred()) {
-        for (auto& ch : channels) ch->poll();
-        if (Clock::now() > deadline) return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return true;
-}
-
 TEST_F(TraceTest, OneTraceSpansTheWholePipelineOverTcp) {
-    auto listener = net::TcpListener::create(0);
-    ASSERT_TRUE(listener.is_ok());
-    server::CoServer server;
-
-    auto c1 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c1.is_ok());
-    auto s1 = listener.value()->accept(2000);
-    ASSERT_TRUE(s1.is_ok());
-    server.attach(s1.value());
-
-    auto c2 = net::tcp_connect("127.0.0.1", listener.value()->port());
-    ASSERT_TRUE(c2.is_ok());
-    auto s2 = listener.value()->accept(2000);
-    ASSERT_TRUE(s2.is_ok());
-    server.attach(s2.value());
-
-    std::vector<std::shared_ptr<net::TcpChannel>> pump{c1.value(), s1.value(), c2.value(), s2.value()};
+    testing::TcpRig rig;
+    ASSERT_NE(rig.listener, nullptr);
+    const std::vector<std::shared_ptr<net::TcpChannel>> pump{rig.connect(), rig.connect()};
+    ASSERT_NE(pump[0], nullptr);
+    ASSERT_NE(pump[1], nullptr);
 
     CoApp alice{"editor", "alice", 1};
     CoApp bob{"editor", "bob", 2};
-    alice.connect(c1.value());
-    bob.connect(c2.value());
+    alice.connect(pump[0]);
+    bob.connect(pump[1]);
     ASSERT_TRUE(pump_until(pump, [&] { return alice.online() && bob.online(); }));
 
     ASSERT_TRUE(alice.ui().root().add_child(WidgetClass::kTextField, "f").is_ok());
@@ -328,7 +302,7 @@ TEST_F(TraceTest, OneTraceSpansTheWholePipelineOverTcp) {
     Tracer::instance().set_enabled(true);
     alice.emit("f", alice.ui().find("f")->make_event(EventType::kValueChanged, std::string{"traced"}));
     ASSERT_TRUE(pump_until(pump, [&] { return bob.ui().find("f")->text("value") == "traced"; }));
-    ASSERT_TRUE(pump_until(pump, [&] { return server.locks().locked_count() == 0; }));
+    ASSERT_TRUE(pump_until(pump, [&] { return rig.default_row().locks_held == 0; }));
     Tracer::instance().set_enabled(false);
 
     const std::uint64_t id = single_dispatch_trace();
