@@ -23,6 +23,17 @@ const Scenario& scenario(const char* name) {
     return *s;
 }
 
+/// Pins an exploration's exact shape. The counts move whenever the server's
+/// state fingerprint partitions states differently (or the protocol gains or
+/// loses a step), so such a change fails here instead of passing silently.
+void expect_counts(const ExploreResult& result, std::uint64_t interleavings, std::uint64_t states,
+                   std::uint64_t pruned) {
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.interleavings, interleavings);
+    EXPECT_EQ(result.states_visited, states);
+    EXPECT_EQ(result.states_pruned, pruned);
+}
+
 TEST(McWorld, ConstructionIsDeterministic) {
     const Options options;
     World a(scenario("couple_lock_execute"), options);
@@ -71,6 +82,7 @@ TEST(McExplore, CoupleLockExecuteExhaustiveAllGreen) {
     EXPECT_EQ(result.depth_cap_hits, 0u);
     ASSERT_TRUE(result.violations.empty()) << result.violations.front().detail;
     EXPECT_GE(result.interleavings, 1000u);
+    expect_counts(result, 1445, 2610, 1443);
 }
 
 TEST(McExplore, ReductionsActuallyPrune) {
@@ -100,6 +112,7 @@ TEST(McExplore, LooseSyncBoundedAllGreen) {
     const ExploreResult result = explorer.explore();
     EXPECT_TRUE(result.violations.empty()) << result.violations.front().detail;
     EXPECT_GT(result.interleavings, 0u);
+    expect_counts(result, 140, 330, 136);
 }
 
 TEST(McExplore, TrioRaceBoundedAllGreen) {
@@ -109,6 +122,7 @@ TEST(McExplore, TrioRaceBoundedAllGreen) {
     const ExploreResult result = explorer.explore();
     EXPECT_TRUE(result.violations.empty()) << result.violations.front().detail;
     EXPECT_GT(result.interleavings, 0u);
+    expect_counts(result, 1466, 2520, 1463);
 }
 
 // Durable-session companion: a third client's Register (and the server's
@@ -123,6 +137,7 @@ TEST(McExplore, JoinMidCoupleLockExecuteBoundedAllGreen) {
     const ExploreResult result = explorer.explore();
     EXPECT_TRUE(result.violations.empty()) << result.violations.front().detail;
     EXPECT_GT(result.interleavings, 0u);
+    expect_counts(result, 2350, 4166, 2348);
 }
 
 TEST(McExplore, CrashFaultPathsKeepServerConsistent) {
