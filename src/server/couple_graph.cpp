@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <tuple>
+#include <utility>
+
+#include "cosoft/protocol/field_codec.hpp"
 
 namespace cosoft::server {
 
@@ -144,26 +146,6 @@ std::vector<std::string> CoupleGraph::check_invariants() const {
     return out;
 }
 
-void CoupleGraph::fingerprint(ByteWriter& w) const {
-    // Links are undirected: normalize each to (min, max) so the fingerprint
-    // does not depend on creation direction, then sort.
-    std::vector<std::tuple<ObjectRef, ObjectRef, InstanceId>> sorted;
-    sorted.reserve(links_.size());
-    for (const CoupleLink& l : links_) {
-        const bool flip = l.dest < l.source;
-        sorted.emplace_back(flip ? l.dest : l.source, flip ? l.source : l.dest, l.creator);
-    }
-    std::sort(sorted.begin(), sorted.end());
-    w.u32(static_cast<std::uint32_t>(sorted.size()));
-    for (const auto& [a, b, creator] : sorted) {
-        w.u32(a.instance);
-        w.str(a.path);
-        w.u32(b.instance);
-        w.str(b.path);
-        w.u32(creator);
-    }
-}
-
 std::vector<std::vector<ObjectRef>> CoupleGraph::components_of(const std::vector<ObjectRef>& objects) const {
     std::vector<std::vector<ObjectRef>> out;
     std::unordered_set<ObjectRef> assigned;
@@ -176,40 +158,30 @@ std::vector<std::vector<ObjectRef>> CoupleGraph::components_of(const std::vector
     return out;
 }
 
-void CoupleGraph::snapshot(ByteWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(links_.size()));
-    for (const CoupleLink& l : links_) {
-        w.u32(l.source.instance);
-        w.str(l.source.path);
-        w.u32(l.dest.instance);
-        w.str(l.dest.path);
-        w.u32(l.creator);
-    }
-}
+void CoupleGraph::snapshot(ByteWriter& w) const { protocol::encode_field(w, links_); }
 
 bool CoupleGraph::restore(ByteReader& r) {
     links_.clear();
     adjacency_.clear();
-    const std::uint32_t n = r.u32();
-    links_.reserve(std::min<std::uint32_t>(n, 4096));
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        CoupleLink l;
-        l.source.instance = r.u32();
-        l.source.path = r.str();
-        l.dest.instance = r.u32();
-        l.dest.path = r.str();
-        l.creator = r.u32();
-        if (!r.ok()) break;
-        links_.push_back(l);
+    protocol::decode_field(r, links_);
+    if (!r.ok()) {
+        links_.clear();
+        return false;
+    }
+    for (const CoupleLink& l : links_) {
         adjacency_[l.source].insert(l.dest);
         adjacency_[l.dest].insert(l.source);
     }
-    if (!r.ok()) {
-        links_.clear();
-        adjacency_.clear();
-        return false;
-    }
     return true;
+}
+
+void CoupleGraph::fingerprint(ByteWriter& w) const {
+    std::vector<CoupleLink> undirected = links_;
+    for (CoupleLink& l : undirected) {
+        if (l.dest < l.source) std::swap(l.source, l.dest);
+    }
+    std::sort(undirected.begin(), undirected.end());
+    protocol::encode_field(w, undirected);
 }
 
 }  // namespace cosoft::server

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "cosoft/protocol/field_codec.hpp"
+
 namespace cosoft::server {
 
 void HistoryStore::push_bounded(std::vector<toolkit::UiState>& stack, toolkit::UiState state) {
@@ -71,58 +73,11 @@ std::vector<std::string> HistoryStore::check_invariants() const {
     return out;
 }
 
-void HistoryStore::fingerprint(ByteWriter& w) const {
-    std::vector<const std::pair<const ObjectRef, Stacks>*> sorted;
-    sorted.reserve(stacks_.size());
-    for (const auto& kv : stacks_) sorted.push_back(&kv);
-    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) { return a->first < b->first; });
-    w.u32(static_cast<std::uint32_t>(sorted.size()));
-    for (const auto* kv : sorted) {
-        w.u32(kv->first.instance);
-        w.str(kv->first.path);
-        w.u32(static_cast<std::uint32_t>(kv->second.undo.size()));
-        for (const toolkit::UiState& s : kv->second.undo) toolkit::encode(w, s);
-        w.u32(static_cast<std::uint32_t>(kv->second.redo.size()));
-        for (const toolkit::UiState& s : kv->second.redo) toolkit::encode(w, s);
-    }
-}
-
-void HistoryStore::snapshot(ByteWriter& w) const {
-    w.u64(max_depth_);
-    std::vector<ObjectRef> refs;
-    refs.reserve(stacks_.size());
-    for (const auto& [ref, stacks] : stacks_) refs.push_back(ref);
-    std::sort(refs.begin(), refs.end());
-    w.u32(static_cast<std::uint32_t>(refs.size()));
-    for (const ObjectRef& ref : refs) {
-        w.u32(ref.instance);
-        w.str(ref.path);
-        const Stacks& s = stacks_.at(ref);
-        w.u32(static_cast<std::uint32_t>(s.undo.size()));
-        for (const toolkit::UiState& state : s.undo) toolkit::encode(w, state);
-        w.u32(static_cast<std::uint32_t>(s.redo.size()));
-        for (const toolkit::UiState& state : s.redo) toolkit::encode(w, state);
-    }
-}
+void HistoryStore::snapshot(ByteWriter& w) const { protocol::encode_fields(w, max_depth_, stacks_); }
 
 bool HistoryStore::restore(ByteReader& r) {
     stacks_.clear();
-    max_depth_ = r.u64();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        ObjectRef ref;
-        ref.instance = r.u32();
-        ref.path = r.str();
-        Stacks s;
-        const std::uint32_t nu = r.u32();
-        s.undo.reserve(std::min<std::uint32_t>(nu, 4096));
-        for (std::uint32_t j = 0; j < nu && r.ok(); ++j) s.undo.push_back(toolkit::decode_ui_state(r));
-        const std::uint32_t nr = r.u32();
-        s.redo.reserve(std::min<std::uint32_t>(nr, 4096));
-        for (std::uint32_t j = 0; j < nr && r.ok(); ++j) s.redo.push_back(toolkit::decode_ui_state(r));
-        if (!r.ok()) break;
-        stacks_.emplace(std::move(ref), std::move(s));
-    }
+    protocol::decode_fields(r, max_depth_, stacks_);
     if (!r.ok()) {
         stacks_.clear();
         return false;

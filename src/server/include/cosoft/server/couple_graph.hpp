@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -28,7 +29,8 @@ struct CoupleLink {
     ObjectRef source;
     ObjectRef dest;
     InstanceId creator = kInvalidInstance;
-    friend bool operator==(const CoupleLink&, const CoupleLink&) = default;
+    static constexpr auto fields() { return std::tuple{&CoupleLink::source, &CoupleLink::dest, &CoupleLink::creator}; }
+    friend auto operator<=>(const CoupleLink&, const CoupleLink&) = default;
 };
 
 class CoupleGraph {
@@ -70,15 +72,15 @@ class CoupleGraph {
     /// entries. Returns human-readable violations (empty = consistent).
     [[nodiscard]] std::vector<std::string> check_invariants() const;
 
-    /// Order-independent canonical serialization (model-checker state hash).
-    void fingerprint(ByteWriter& w) const;
-
-    /// Full-fidelity serialization for journal snapshot records (keeps link
-    /// order and direction, unlike the normalized fingerprint).
+    /// Journal snapshot: the links in insertion order, direction kept. The
+    /// adjacency index is derived, so restore() rebuilds it.
     void snapshot(ByteWriter& w) const;
     /// Replaces the graph with a snapshot() image. False on malformed input
     /// (the graph is left empty).
     [[nodiscard]] bool restore(ByteReader& r);
+    /// Model-checker state hash: the same links as undirected pairs, sorted,
+    /// so it depends on neither creation order nor direction.
+    void fingerprint(ByteWriter& w) const;
 
   private:
     void unlink_adjacency(const ObjectRef& a, const ObjectRef& b);

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -50,10 +51,9 @@ class HistoryStore {
     /// valid object ref. Returns human-readable violations (empty = ok).
     [[nodiscard]] std::vector<std::string> check_invariants() const;
 
-    /// Order-independent canonical serialization (model-checker state hash).
-    void fingerprint(ByteWriter& w) const;
-
-    /// Full-fidelity serialization for journal snapshot records.
+    /// Journal snapshot: max_depth, then each object's undo and redo stacks,
+    /// objects sorted. Canonical already, so it is also the model checker's
+    /// state hash of the store.
     void snapshot(ByteWriter& w) const;
     /// Replaces the store with a snapshot() image (including max_depth).
     /// False on malformed input (the store is left empty).
@@ -63,6 +63,7 @@ class HistoryStore {
     struct Stacks {
         std::vector<toolkit::UiState> undo;
         std::vector<toolkit::UiState> redo;
+        static constexpr auto fields() { return std::tuple{&Stacks::undo, &Stacks::redo}; }
     };
 
     void push_bounded(std::vector<toolkit::UiState>& stack, toolkit::UiState state);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cosoft/common/bytes.hpp"
@@ -42,15 +43,14 @@ class PermissionTable {
     /// violation descriptions (empty = consistent).
     [[nodiscard]] std::vector<std::string> check_invariants() const;
 
-    /// Order-independent canonical serialization (model-checker state hash).
-    void fingerprint(ByteWriter& w) const;
-
-    /// Full-fidelity serialization for journal snapshot records (keeps rule
-    /// precedence order).
+    /// Journal snapshot: the rules in insertion order.
     void snapshot(ByteWriter& w) const;
     /// Replaces the table with a snapshot() image. False on malformed input
     /// (the table is left empty).
     [[nodiscard]] bool restore(ByteReader& r);
+    /// Model-checker state hash: the same rules sorted, so it does not depend
+    /// on the order they were installed in.
+    void fingerprint(ByteWriter& w) const;
 
     /// Instances referenced by at least one rule, deduplicated.
     [[nodiscard]] std::vector<InstanceId> referenced_instances() const;
@@ -61,6 +61,8 @@ class PermissionTable {
         ObjectRef object;
         protocol::RightsMask rights;
         bool allow;
+        static constexpr auto fields() { return std::tuple{&Rule::user, &Rule::object, &Rule::rights, &Rule::allow}; }
+        friend auto operator<=>(const Rule&, const Rule&) = default;
     };
 
     std::vector<Rule> rules_;

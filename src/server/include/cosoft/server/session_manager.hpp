@@ -173,10 +173,11 @@ class SessionManager {
     /// nullptr retires every source.
     void set_watchdog(std::shared_ptr<obs::Watchdog> watchdog);
 
-    /// Recent durable-journal records per journaled session, for the
-    /// /journal monitor route. Safe from any thread: SessionJournal's tail
-    /// cache has its own mutex and journals live as long as their session.
-    [[nodiscard]] std::vector<std::pair<std::string, std::vector<SessionJournal::TailEntry>>>
+    /// The last records of each journaled session's file, sorted by session
+    /// name, for the /journal monitor route. Safe from any thread: the file
+    /// paths are collected under mu_, and the files are read after it is
+    /// released, so a scrape never waits on or blocks a dispatch strand.
+    [[nodiscard]] std::vector<std::pair<std::string, std::vector<SessionJournal::Record>>>
     journal_tails() const;
 
     /// The full Prometheus exposition the HTTP plane serves: manager

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <string>
-#include <tuple>
 
 #include "cosoft/common/strings.hpp"
+#include "cosoft/protocol/field_codec.hpp"
 
 namespace cosoft::server {
 
@@ -82,23 +82,6 @@ std::vector<std::string> PermissionTable::check_invariants() const {
     return out;
 }
 
-void PermissionTable::fingerprint(ByteWriter& w) const {
-    std::vector<const Rule*> sorted;
-    sorted.reserve(rules_.size());
-    for (const Rule& r : rules_) sorted.push_back(&r);
-    std::sort(sorted.begin(), sorted.end(), [](const Rule* a, const Rule* b) {
-        return std::tie(a->user, a->object, a->rights, a->allow) < std::tie(b->user, b->object, b->rights, b->allow);
-    });
-    w.u32(static_cast<std::uint32_t>(sorted.size()));
-    for (const Rule* r : sorted) {
-        w.u32(r->user);
-        w.u32(r->object.instance);
-        w.str(r->object.path);
-        w.u8(r->rights);
-        w.boolean(r->allow);
-    }
-}
-
 std::vector<InstanceId> PermissionTable::referenced_instances() const {
     std::vector<InstanceId> out;
     out.reserve(rules_.size());
@@ -108,36 +91,22 @@ std::vector<InstanceId> PermissionTable::referenced_instances() const {
     return out;
 }
 
-void PermissionTable::snapshot(ByteWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(rules_.size()));
-    for (const Rule& rule : rules_) {
-        w.u32(rule.user);
-        w.u32(rule.object.instance);
-        w.str(rule.object.path);
-        w.u8(rule.rights);
-        w.boolean(rule.allow);
-    }
-}
+void PermissionTable::snapshot(ByteWriter& w) const { protocol::encode_field(w, rules_); }
 
 bool PermissionTable::restore(ByteReader& r) {
     rules_.clear();
-    const std::uint32_t n = r.u32();
-    rules_.reserve(std::min<std::uint32_t>(n, 4096));
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        Rule rule;
-        rule.user = r.u32();
-        rule.object.instance = r.u32();
-        rule.object.path = r.str();
-        rule.rights = r.u8();
-        rule.allow = r.boolean();
-        if (!r.ok()) break;
-        rules_.push_back(std::move(rule));
-    }
+    protocol::decode_field(r, rules_);
     if (!r.ok()) {
         rules_.clear();
         return false;
     }
     return true;
+}
+
+void PermissionTable::fingerprint(ByteWriter& w) const {
+    std::vector<Rule> sorted = rules_;
+    std::sort(sorted.begin(), sorted.end());
+    protocol::encode_field(w, sorted);
 }
 
 }  // namespace cosoft::server

@@ -422,8 +422,8 @@ TEST(LockOrderRegression, SessionManagerWorkloadIsCycleFree) {
     // reactor, TcpChannels, journaled sessions, the obs registry — while a
     // reader hammers the two operator read paths, status() and
     // journal_tails() (the depart() <-> status-walk nesting was the prime
-    // inversion suspect; the journal tail lock nests under the manager
-    // mutex). Any cycle in the discipline fires the detector; the capturing
+    // inversion suspect; journal_tails() reads the journal files while the
+    // strands append to them). Any cycle in the discipline fires the detector; the capturing
     // handler turns that into a test failure with the full report instead of
     // an abort.
     CaptureLockOrder capture;
