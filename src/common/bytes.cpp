@@ -95,4 +95,12 @@ std::vector<std::uint8_t> ByteReader::bytes() {
     return out;
 }
 
+std::span<const std::uint8_t> ByteReader::bytes_view() {
+    const std::uint64_t n = varint();
+    if (!take(n)) return {};
+    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+}
+
 }  // namespace cosoft

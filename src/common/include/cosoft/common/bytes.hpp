@@ -69,6 +69,9 @@ class ByteReader {
     double f64();
     std::string str();
     std::vector<std::uint8_t> bytes();
+    /// The next length-prefixed byte field, borrowed from the buffer (empty
+    /// and failed on overrun).
+    std::span<const std::uint8_t> bytes_view();
 
     [[nodiscard]] bool ok() const noexcept { return !failed_; }
     /// Marks the stream malformed; decoders call this on semantic errors the

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -329,6 +330,51 @@ TEST(MonitorPlane, RoutesEndpointsAgainstALiveManager) {
     EXPECT_EQ(index.status, 200);
     EXPECT_NE(index.body.find("/status"), std::string::npos);
     EXPECT_EQ(monitor.handle({"GET", "/nope"}).status, 404);
+}
+
+TEST(MonitorPlane, JournalRouteReadsEachSessionFile) {
+    net::SimNetwork net;
+    SessionManagerOptions manager_options;
+    manager_options.journal_dir = temp_dir("journal");
+    manager_options.journal_fsync = server::FsyncPolicy::kNever;
+    SessionManager manager(manager_options);
+    MonitorOptions options;
+    options.enable_http = false;
+    options.start_watchdog = false;
+    options.incident_dir = temp_dir("journal-incident");
+    Monitor monitor(manager, options);
+
+    // Two members join "room" and one leaves: the session stays live and its
+    // journal holds Register frames and a departure.
+    auto [alice_end, alice_server_end] = net.make_pipe();
+    auto [bob_end, bob_server_end] = net.make_pipe();
+    manager.attach(alice_server_end);
+    manager.attach(bob_server_end);
+    CoApp alice{"editor", "alice", 1};
+    CoApp bob{"editor", "bob", 2};
+    alice.connect(alice_end, "room");
+    bob.connect(bob_end, "room");
+    net.run_all();
+    ASSERT_TRUE(alice.online() && bob.online());
+    bob_end->close();
+    net.run_all();
+
+    // The route decodes each frame record's message name out of the file.
+    const auto journal = monitor.handle({"GET", "/journal"});
+    EXPECT_EQ(journal.status, 200);
+    const auto has_row = [&](const std::string& type, const std::string& message) {
+        std::istringstream lines{journal.body};
+        for (std::string line; std::getline(lines, line);) {
+            if (line.find(" " + type + " ") != std::string::npos &&
+                line.find(" " + message + " ") != std::string::npos) {
+                return true;
+            }
+        }
+        return false;
+    };
+    EXPECT_NE(journal.body.find("-- journal: room ("), std::string::npos) << journal.body;
+    EXPECT_TRUE(has_row("frame", "Register")) << journal.body;
+    EXPECT_TRUE(has_row("detach", "Detach")) << journal.body;
 }
 
 // --- end-to-end: the acceptance scenario -------------------------------------
