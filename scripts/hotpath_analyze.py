@@ -22,24 +22,18 @@ Throw and blocking findings are reported (and waiver-annotated) but do not
 gate, matching the ratchet's acceptance bar: zero unbudgeted hot-path
 allocation sites.
 
-Backends:
-  libclang        Preferred when the `clang.cindex` python module and a
-                  matching libclang are installed: parses the real
-                  [[clang::annotate("cosoft::hot")]] attributes from the AST.
-  gcc-callgraph   Fallback that works on gcc-only containers: recompiles the
-                  src/ TUs from compile_commands.json at -O0 with
-                  -fcallgraph-info, merges the per-TU VCG graphs, and finds
-                  the annotated roots by grepping source for CO_HOT_PATH
-                  definition lines. -O0 keeps every structural call — at -O1
-                  gcc already inlines _M_realloc_insert and the string
-                  _M_construct frames into the caller (collapsing witness
-                  chains to bare `root -> operator new` edges), and -O2
-                  additionally drops the __cxa_* throw edges.
+Call graph: the pass recompiles the src/ TUs from compile_commands.json at
+-O0 with gcc's -fcallgraph-info, merges the per-TU VCG graphs, and finds the
+annotated roots by grepping source for CO_HOT_PATH definition lines. -O0
+keeps every structural call — at -O1 gcc already inlines _M_realloc_insert
+and the string _M_construct frames into the caller (collapsing witness
+chains to bare `root -> operator new` edges), and -O2 additionally drops the
+__cxa_* throw edges.
 
-When neither backend can run (no python3 is handled by the sh wrapper; no
-gcc/compile_commands here) the pass prints a line containing "skipping the
-hotpath gate" and exits 0, so ctest's SKIP_REGULAR_EXPRESSION reports SKIP
-rather than a green lie.
+When the graph cannot be built (no python3 is handled by the sh wrapper; no
+gcc or compile_commands.json) the pass prints a line containing "skipping
+the hotpath gate" and exits 0, so ctest's SKIP_REGULAR_EXPRESSION reports
+SKIP rather than a green lie.
 
 `--self-test` compiles a planted fixture (vector push_back + std::string +
 throw under a hot root) and asserts the pass flags all three — run by
@@ -151,7 +145,7 @@ STRING_CONSTRUCTION_RE = re.compile(r"basic_string|_M_construct|_M_create|_M_ass
 
 
 # ---------------------------------------------------------------------------
-# Source-level annotation scan (used by the gcc backend, and for reporting).
+# Source-level annotation scan: the roots and cold subtrees of the walk.
 # ---------------------------------------------------------------------------
 
 _SRC_EXTS = (".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh")
@@ -248,7 +242,7 @@ def base_name(demangled: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Call graph model shared by both backends.
+# Call graph model.
 # ---------------------------------------------------------------------------
 
 
@@ -514,108 +508,6 @@ def gcc_backend(build_dir: str, verbose: bool):
 
 
 # ---------------------------------------------------------------------------
-# libclang backend (preferred where available; best-effort elsewhere).
-# ---------------------------------------------------------------------------
-
-
-def libclang_backend(build_dir: str, verbose: bool):
-    """Builds the same Graph from clang ASTs, finding roots via the real
-    [[clang::annotate("cosoft::hot")]] attributes. Returns (graph, hot, cold)
-    or (None, reason)."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None, None, None, "python clang.cindex module not installed"
-    try:
-        index = cindex.Index.create()
-    except Exception as exc:  # libclang shared object missing / mismatched
-        return None, None, None, f"libclang unavailable ({exc})"
-
-    cc_path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(cc_path):
-        return None, None, None, f"no compile_commands.json in {build_dir}"
-    with open(cc_path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-
-    graph = Graph()
-    hot_ids, cold_ids = set(), set()
-    src_prefix = os.path.join(REPO_ROOT, "src") + os.sep
-
-    def fn_id(cursor) -> str:
-        return cursor.get_usr() or cursor.spelling
-
-    def annotation(cursor) -> str | None:
-        for ch in cursor.get_children():
-            if ch.kind == cindex.CursorKind.ANNOTATE_ATTR:
-                return ch.spelling
-        return None
-
-    def record_body(fn_cursor):
-        me = fn_id(fn_cursor)
-        graph.add_node(me, fn_cursor.displayname or fn_cursor.spelling)
-        ann = annotation(fn_cursor)
-        if ann == "cosoft::hot":
-            hot_ids.add(me)
-        elif ann == "cosoft::cold":
-            cold_ids.add(me)
-
-        def visit(node):
-            for ch in node.get_children():
-                loc = ch.location
-                site = f"{loc.file}:{loc.line}:{loc.column}" if loc.file else "?"
-                if ch.kind == cindex.CursorKind.CXX_NEW_EXPR:
-                    graph.add_node("operator new", "operator new(unsigned long)")
-                    graph.add_edge(me, "operator new", site)
-                elif ch.kind == cindex.CursorKind.CXX_THROW_EXPR:
-                    graph.add_node("__cxa_throw", "__cxa_throw")
-                    graph.add_edge(me, "__cxa_throw", site)
-                elif ch.kind == cindex.CursorKind.CALL_EXPR:
-                    ref = ch.referenced
-                    if ref is not None:
-                        callee = fn_id(ref)
-                        graph.add_node(callee, ref.displayname or ref.spelling)
-                        graph.add_edge(me, callee, site)
-                visit(ch)
-
-        visit(fn_cursor)
-
-    parsed = 0
-    for entry in entries:
-        file = os.path.normpath(os.path.join(entry.get("directory", "."), entry["file"]))
-        if not file.startswith(src_prefix):
-            continue
-        argv = entry.get("arguments") or shlex.split(entry["command"])
-        # Keep only flags clang's parser understands / needs.
-        args = [a for a in argv[1:] if a.startswith(("-I", "-D", "-std", "-W", "-f"))]
-        try:
-            tu = index.parse(file, args=args)
-        except Exception as exc:
-            if verbose:
-                print(f"hotpath_analyze: libclang parse failed for {file}: {exc}",
-                      file=sys.stderr)
-            continue
-        parsed += 1
-        stack = [tu.cursor]
-        while stack:
-            cur = stack.pop()
-            for ch in cur.get_children():
-                if ch.kind in (cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
-                               cindex.CursorKind.FUNCTION_TEMPLATE,
-                               cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR):
-                    if ch.is_definition():
-                        record_body(ch)
-                if ch.kind in (cindex.CursorKind.NAMESPACE, cindex.CursorKind.CLASS_DECL,
-                               cindex.CursorKind.STRUCT_DECL, cindex.CursorKind.TRANSLATION_UNIT):
-                    stack.append(ch)
-    if parsed == 0:
-        return None, None, None, "libclang parsed no src/ translation units"
-    if verbose:
-        print(f"hotpath_analyze: libclang: {parsed} TUs, {len(graph.names)} nodes",
-              file=sys.stderr)
-    return graph, hot_ids, cold_ids, None
-
-
-# ---------------------------------------------------------------------------
 # Waivers and reporting.
 # ---------------------------------------------------------------------------
 
@@ -796,7 +688,6 @@ def self_test(verbose: bool) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description="hot-path allocation/blocking static pass")
     ap.add_argument("--build-dir", default=os.path.join(REPO_ROOT, "build"))
-    ap.add_argument("--backend", choices=["auto", "libclang", "gcc-callgraph"], default="auto")
     ap.add_argument("--budget", default=os.path.join(REPO_ROOT, "hotpath_budget.json"))
     ap.add_argument("--self-test", action="store_true",
                     help="verify the pass flags a planted allocation/throw fixture")
@@ -813,30 +704,12 @@ def main() -> int:
     if args.verbose:
         print(f"hotpath_analyze: roots from source scan: {sorted(hot_names)}", file=sys.stderr)
 
-    graph = None
-    hot_ids = cold_for_walk = None
-    if args.backend in ("auto", "libclang"):
-        graph, hot_ids, cold_ids, reason = libclang_backend(args.build_dir, args.verbose)
-        if graph is not None:
-            cold_for_walk = {base_name(graph.display(i)) for i in cold_ids} | cold_names
-            roots = sorted(hot_ids) or [
-                nid for nid, disp in graph.names.items()
-                if any(name_matches(base_name(disp), h) for h in hot_names)]
-        elif args.backend == "libclang":
-            print(f"{SKIP_PREFIX} {reason}")
-            return 0
-        elif args.verbose:
-            print(f"hotpath_analyze: libclang backend unavailable ({reason}); "
-                  f"falling back to gcc-callgraph", file=sys.stderr)
-
+    graph, reason = gcc_backend(args.build_dir, args.verbose)
     if graph is None:
-        graph, reason = gcc_backend(args.build_dir, args.verbose)
-        if graph is None:
-            print(f"{SKIP_PREFIX} {reason}")
-            return 0
-        roots = [nid for nid, disp in graph.names.items()
-                 if any(name_matches(base_name(disp), h) for h in hot_names)]
-        cold_for_walk = cold_names
+        print(f"{SKIP_PREFIX} {reason}")
+        return 0
+    roots = [nid for nid, disp in graph.names.items()
+             if any(name_matches(base_name(disp), h) for h in hot_names)]
 
     if not roots:
         print(f"{SKIP_PREFIX} annotated roots not present in the call graph "
@@ -847,7 +720,7 @@ def main() -> int:
         for r in sorted(roots):
             print(f"  {graph.display(r)}", file=sys.stderr)
 
-    findings = walk(graph, roots, cold_for_walk)
+    findings = walk(graph, roots, cold_names)
     apply_waivers(findings, load_waivers(args.budget))
     return report(findings, args.verbose)
 
